@@ -5,7 +5,10 @@ same signatures and semantics; commroute.oracle picks one at import time.
 
 State encoding shared by both implementations:
  - a placement is carried as tok_at, the token sitting on each node
- - tok_at is hashed as an int with 4 bits per node
+ - tok_at is hashed as an int with a fixed number of bits per node, wide
+   enough for every token label: 4 up to 16 nodes, as in the compiled
+   twin, and (n - 1).bit_length() beyond that, so distinct placements
+   never share a code
  - coverage is a bitmask over connection indices; a state's mask is the
    union over every placement visited so far, so a state is (tok_at, mask)
 """
@@ -17,10 +20,15 @@ import heapq
 IMPL_NAME = "python"
 
 
-def _encode(tok_at: list[int]) -> int:
+def _code_width(n: int) -> int:
+    """Bits per node in a placement code; token labels run 0..n-1."""
+    return max(4, (n - 1).bit_length())
+
+
+def _encode(tok_at: list[int], width: int) -> int:
     code = 0
     for t in tok_at:
-        code = (code << 4) | t
+        code = (code << width) | t
     return code
 
 
@@ -49,6 +57,7 @@ def min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, max_depth):
     Returns -1 when the search space is exhausted (or max_depth exceeded)
     without reaching full coverage.
     """
+    width = _code_width(n)
     visited: dict[int, list[int]] = {}
     frontier: list[tuple[list[int], int]] = []
     for s in starts:
@@ -56,7 +65,7 @@ def min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, max_depth):
         c = _coverage(tok, hw_edges, conn_bit, n)
         if c == full_mask:
             return 0
-        if _push_mask(visited.setdefault(_encode(tok), []), c):
+        if _push_mask(visited.setdefault(_encode(tok, width), []), c):
             frontier.append((tok, c))
     depth = 0
     while frontier and depth < max_depth:
@@ -71,7 +80,7 @@ def min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, max_depth):
                 c2 = cov | _coverage(t2, hw_edges, conn_bit, n)
                 if c2 == full_mask:
                     return depth
-                if _push_mask(visited.setdefault(_encode(t2), []), c2):
+                if _push_mask(visited.setdefault(_encode(t2, width), []), c2):
                     nxt.append((t2, c2))
         frontier = nxt
     return -1
@@ -86,6 +95,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
     and prunes states that cannot finish in the remaining budget.
     """
     sizes = [len(m) // 2 for m in matchings]
+    width = _code_width(n)
     visited: dict[int, list[tuple[int, int, int]]] = {}
 
     def admit(code: int, cov: int, steps: int, g: int) -> bool:
@@ -118,7 +128,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
             continue
         if uncov and step_capacity > 0 and uncov.bit_count() > max_steps * step_capacity:
             continue
-        if admit(_encode(tok), cov, 0, 0):
+        if admit(_encode(tok, width), cov, 0, 0):
             heapq.heappush(heap, (h, 0, 0, counter, tuple(tok), cov))
             counter += 1
     while heap:
@@ -141,7 +151,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
                 continue
             if uncov and step_capacity > 0 and uncov.bit_count() > (max_steps - s2) * step_capacity:
                 continue
-            if admit(_encode(t2), c2, s2, g2):
+            if admit(_encode(t2, width), c2, s2, g2):
                 heapq.heappush(heap, (g2 + h, g2, s2, counter, tuple(t2), c2))
                 counter += 1
     return -1

@@ -15,7 +15,12 @@ from .bounds import bound_report
 from .constructive import dfs_swap_solve
 from .graphs import Graph
 from .milp.models import ModelVariant
-from .oracle import oracle_min_steps, oracle_min_swaps, oracle_min_swaps_at
+from .oracle import (
+    InfeasibleInstanceError,
+    oracle_min_steps,
+    oracle_min_swaps,
+    oracle_min_swaps_at,
+)
 from .pipeline import (
     HARDWARE_PRESETS,
     PipelineConfig,
@@ -122,7 +127,12 @@ def cmd_generate(args) -> int:
 
 def cmd_bounds(args) -> int:
     inst = _load_instance(args.instance)
-    _emit(bound_report(inst).to_dict(), args.out)
+    try:
+        report = bound_report(inst)
+    except ValueError as exc:  # the deficit bounds' proof that no solution exists
+        _emit({"error": str(exc)}, args.out)
+        return EXIT_INFEASIBLE
+    _emit(report.to_dict(), args.out)
     return EXIT_OK
 
 
@@ -138,6 +148,9 @@ def cmd_oracle(args) -> int:
         ms = oracle_min_swaps(inst, node_limit=args.node_limit)
         _emit({"mt": mt, "ms": ms}, args.out)
         return EXIT_OK
+    except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
+        _emit({"error": str(exc)}, args.out)
+        return EXIT_INFEASIBLE
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

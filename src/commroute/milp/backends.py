@@ -22,6 +22,10 @@ class SolveResult:
     objective: float | None = None
     values: dict[str, float] | None = None
     runtime: float = 0.0
+    # branch-and-bound statistics; None where the solver reports none
+    nodes: int | None = None
+    dual_bound: float | None = None
+    gap: float | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -63,6 +67,21 @@ def _model_arrays(model: MilpModel):
     return c, lb, ub, integrality, a, np.array(lo), np.array(hi)
 
 
+def _mip_stats(res, minimize: bool) -> dict:
+    """Node count, dual bound and gap from a milp result, in the model's sense.
+
+    milp always minimizes, so a maximized model's dual bound flips sign.
+    """
+    nodes, dual, gap = (res.get(k) for k in ("mip_node_count", "mip_dual_bound", "mip_gap"))
+    if dual is not None and not minimize:
+        dual = -dual
+    return {
+        "nodes": None if nodes is None else int(nodes),
+        "dual_bound": None if dual is None else float(dual),
+        "gap": None if gap is None else float(gap),
+    }
+
+
 class ScipyBackend:
     """HiGHS via scipy.optimize.milp."""
 
@@ -89,13 +108,14 @@ class ScipyBackend:
         status = _STATUS.get(res.status, "unknown")
         if res.x is None and status == "optimal":
             status = "unknown"
+        stats = _mip_stats(res, model.minimize)
         if res.x is None:
-            return SolveResult(status, runtime=elapsed)
+            return SolveResult(status, runtime=elapsed, **stats)
         values = {v.name: float(res.x[v.index]) for v in model.variables}
         obj = float(np.dot(c, res.x))
         if not model.minimize:
             obj = -obj
-        return SolveResult(status, obj, values, elapsed)
+        return SolveResult(status, obj, values, elapsed, **stats)
 
 
 def solve_lp_relaxation(model: MilpModel) -> SolveResult:

@@ -6,9 +6,13 @@ The swap-optimal pipeline runs three phases:
    turns feasible; that first t is the minimal step count, and the solve
    already minimizes swaps there;
 2. (free with 1) record the minimal swap count within minimal steps;
-3. re-solve with the one-swap-per-step step-count program at a horizon one
-   below that swap count: infeasibility certifies the phase-2 count as the
-   overall optimum, feasibility hands back the true optimum directly.
+3. settle the overall swap optimum. A proven floor on any cheaper solution
+   (see `_cheaper_swap_floor`) certifies the phase-2 count outright when
+   that count does not exceed the floor, and no model is built. Otherwise
+   the one-swap-per-step program is solved at a horizon one below the
+   phase-2 count with its first `floor` steps pinned active:
+   infeasibility certifies the phase-2 count as the overall optimum,
+   feasibility hands back the true optimum directly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from math import ceil
 
-from .bounds import step_lower_bound
+from .bounds import step_lower_bound, swap_lower_bound
 from .graphs import Graph, bridged_cycles_graph, grid_graph
 from .milp.backends import ScipyBackend, SolverBackend, default_backend
 from .milp.models import (
@@ -96,6 +100,30 @@ def _compacted(sol: SwapSolution) -> SwapSolution:
     return SwapSolution(sol.initial, tuple(m for m in sol.matchings if m))
 
 
+def _cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
+    """Fewest swaps any solution cheaper than the phase-2 one can have.
+
+    Let ms be the overall swap optimum and ms_at_mt the optimum within mt
+    steps. Take any solution with s swaps and perform its swaps one at a
+    time: the placements it visits are a superset of the original ones, so
+    coverage only grows and the result is a solution with s single-swap
+    steps. If s <= mt, padding it with empty steps gives an mt-step
+    solution with s swaps, so ms_at_mt <= s. As ms <= ms_at_mt by
+    definition, ms == ms_at_mt or ms >= mt + 1; and ms >=
+    swap_lower_bound(inst) always. A solution with
+    fewer than ms_at_mt swaps therefore has at least
+    max(mt + 1, swap_lower_bound(inst)) of them, and ms_at_mt is the
+    overall optimum whenever it does not exceed that floor.
+
+    In the one-swap-per-step model, every such solution, serialized as
+    above, activates at least `floor` steps, and steps_ordered makes the
+    active steps a prefix; so s_t1 .. s_t{floor} may be fixed to 1.
+    Symmetry anchoring and placement fixing only relabel nodes or tokens,
+    which keeps the active steps, so the pinning holds with either.
+    """
+    return max(mt + 1, swap_lower_bound(inst))
+
+
 def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
@@ -153,15 +181,21 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     res.ms_at_mt_optimal = True
     res.swap_solution = _compacted(attempt.solution)
 
-    if res.ms_at_mt == res.mt:
+    floor = _cheaper_swap_floor(inst, res.mt)
+    if res.ms_at_mt <= floor:
         res.ms = res.ms_at_mt
         res.ms_optimal = True
-        res.notes.append("swap count equals step count, already optimal")
+        res.notes.append(
+            f"certified by bound: a cheaper solution needs at least {floor} swaps, "
+            f"so {res.ms_at_mt} is optimal"
+        )
         return res
 
     target = res.ms_at_mt - 1
     t0 = time.monotonic()
     model = build_swap_step_model(inst, steps=target)
+    for t in range(1, floor + 1):
+        model.fix_var(f"s_t{t}", 1.0)
     if symmetry:
         from .milp.models import add_hardware_symmetry
 
@@ -176,7 +210,8 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         res.ms = res.ms_at_mt
         res.ms_optimal = True
         res.notes.append(
-            f"no solution with fewer swaps fits in {target} single-swap steps"
+            f"certified by phase-3 solve: no solution with {floor} to {target} "
+            f"swaps fits in {target} single-swap steps"
         )
         return res
     if not step_result.is_optimal:
@@ -184,6 +219,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         return res
     res.ms = int(round(step_result.objective))
     res.ms_optimal = True
+    res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
     res.swap_solution = _compacted(decode_solution(inst, target + 1, step_result))
     return res
 

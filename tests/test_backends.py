@@ -89,3 +89,20 @@ def test_lp_relaxation_below_integer_optimum():
 def test_default_backend_solves():
     res = default_backend().solve(knapsack_model())
     assert res.is_optimal
+
+
+def test_scipy_reports_solver_statistics():
+    res = ScipyBackend().solve(knapsack_model())
+    assert isinstance(res.nodes, int) and res.nodes >= 0
+    assert res.dual_bound == pytest.approx(-9)
+    assert res.gap == pytest.approx(0)
+
+    flipped = knapsack_model()
+    flipped.set_objective([("a", 5), ("b", 4), ("c", 3)], minimize=False)
+    res = ScipyBackend().solve(flipped)
+    assert res.objective == pytest.approx(9)
+    assert res.dual_bound == pytest.approx(9)
+
+    for res in (BranchBoundBackend().solve(knapsack_model()),
+                solve_lp_relaxation(knapsack_model())):
+        assert (res.nodes, res.dual_bound, res.gap) == (None, None, None)

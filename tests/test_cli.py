@@ -3,7 +3,7 @@ import json
 import pytest
 
 from commroute.cli import main
-from commroute.graphs import complete_graph, path_graph, star_graph
+from commroute.graphs import Graph, complete_graph, path_graph, star_graph
 from commroute.solutions import TmpInstance
 
 
@@ -44,6 +44,21 @@ def test_bounds(capsys, tiny_instance):
     assert set(payload) >= {"swap_lower", "step_lower", "max_gain_per_swap"}
 
 
+@pytest.fixture
+def unroutable_instance(tmp_path):
+    # star gates on two disjoint hardware edges: no swap meets a new pair
+    inst = TmpInstance(Graph(4, [(0, 1), (2, 3)]), star_graph(4))
+    path = tmp_path / "unroutable.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    return str(path)
+
+
+def test_bounds_infeasible(capsys, unroutable_instance):
+    code, payload, _ = run(capsys, "bounds", unroutable_instance)
+    assert code == 2
+    assert "infeasible" in payload["error"]
+
+
 def test_oracle(capsys, tiny_instance):
     code, payload, _ = run(capsys, "oracle", tiny_instance)
     assert code == 0
@@ -54,6 +69,12 @@ def test_oracle_infeasible_horizon(capsys, tiny_instance):
     code, payload, _ = run(capsys, "oracle", tiny_instance, "--steps", "0")
     assert code == 2
     assert payload["feasible"] is False
+
+
+def test_oracle_infeasible_instance(capsys, unroutable_instance):
+    code, payload, _ = run(capsys, "oracle", unroutable_instance)
+    assert code == 2
+    assert "error" in payload
 
 
 def test_solve(capsys, tiny_instance):

@@ -123,3 +123,21 @@ def test_kernels_agree(rng):
 
 def test_implementation_reports_name():
     assert IMPLEMENTATION in ("python", "compiled")
+
+
+def test_placement_code_is_injective_beyond_16_nodes():
+    from commroute._search_py import _code_width, _encode
+
+    # at 4 bits per node these two collided: (1 << 4) | 0 == (0 << 4) | 16
+    w = _code_width(17)
+    assert _encode([1, 0], w) != _encode([0, 16], w)
+    # up to 16 nodes the width stays 4 bits, so codes are as before
+    assert [_code_width(n) for n in (2, 9, 16, 17, 32, 33)] == [4, 4, 4, 5, 5, 6]
+    r = random.Random(17)
+    for n in (17, 33):
+        w = _code_width(n)
+        for _ in range(50):
+            tok = r.sample(range(n), n)
+            code = _encode(tok, w)
+            digits = [(code >> (w * (n - 1 - i))) & ((1 << w) - 1) for i in range(n)]
+            assert digits == tok

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+from commroute.bounds import swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
-from commroute.oracle import oracle_min_steps, oracle_min_swaps
+from commroute.oracle import oracle_min_steps, oracle_min_swaps, oracle_min_swaps_at
 from commroute.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -15,7 +17,7 @@ from commroute.pipeline import (
 from commroute.scheduler import compute_windows
 from commroute.solutions import TmpInstance, validate_routed_circuit, validate_swap_solution
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph, random_tree
 
 
 def test_worked_example():
@@ -37,11 +39,63 @@ def test_subgraph_fast_path():
 
 
 def test_phase_three_skipped_when_tight():
-    # (P3, K3): one step, one swap, nothing left to improve
-    inst = TmpInstance(path_graph(3), complete_graph(3))
+    cases = [
+        # (P3, K3): one step, one swap, nothing left to improve
+        (TmpInstance(path_graph(3), complete_graph(3)), (1, 1, 1)),
+        # (P5, S5): ms_at_mt = mt + 1, so no cheaper solution can exist
+        (TmpInstance(path_graph(5), star_graph(5)), (1, 2, 2)),
+    ]
+    for inst, expected in cases:
+        res = solve_min_swaps(inst)
+        assert (res.mt, res.ms_at_mt, res.ms) == expected
+        assert res.complete
+        assert "min_swaps_overall" not in res.timings
+        assert any(note.startswith("certified by bound") for note in res.notes)
+
+
+def _oracle_profile(inst):
+    mt = oracle_min_steps(inst)
+    return mt, oracle_min_swaps_at(inst, mt), oracle_min_swaps(inst)
+
+
+def _tree_dense_instance(seed):
+    """Random 5-node tree hardware with 7 to 10 of the 10 possible gates."""
+    r = random.Random(seed)
+    h = random_tree(5, r)
+    pairs = list(itertools.combinations(range(5), 2))
+    return TmpInstance(h, Graph(5, r.sample(pairs, r.randint(7, 10))))
+
+
+# seeds of _tree_dense_instance where ms_at_mt - mt >= 2, so phase 3 runs
+GAP_SEEDS = (4, 10, 43)
+
+
+def test_cheaper_swap_floor_on_oracle_sweep():
+    cases = []
+    for n in (2, 3, 4):
+        graphs = connected_graphs(n)
+        cases += [TmpInstance(h, a) for h in graphs for a in graphs]
+    r = random.Random(404)
+    cases += [TmpInstance(random_connected_graph(5, r), random_connected_graph(5, r))
+              for _ in range(50)]
+    cases += [_tree_dense_instance(seed) for seed in GAP_SEEDS]
+    for inst in cases:
+        mt, ms_at_mt, ms = _oracle_profile(inst)
+        floor = max(mt + 1, swap_lower_bound(inst))
+        assert ms == ms_at_mt or ms >= floor, (inst.hardware.edges, inst.algorithm.edges)
+
+
+@pytest.mark.parametrize("seed", GAP_SEEDS)
+def test_pinned_phase_three_matches_oracle(seed):
+    inst = _tree_dense_instance(seed)
+    mt, ms_at_mt, ms = _oracle_profile(inst)
+    assert ms_at_mt - mt >= 2
     res = solve_min_swaps(inst)
-    assert res.mt == res.ms == res.ms_at_mt == 1
-    assert "min_swaps_overall" not in res.timings
+    assert res.complete
+    assert (res.mt, res.ms_at_mt, res.ms) == (mt, ms_at_mt, ms)
+    assert "min_swaps_overall" in res.timings
+    assert any(note.startswith("certified by phase-3 solve") for note in res.notes)
+    assert validate_swap_solution(inst, res.swap_solution).valid
 
 
 def test_disconnected_hardware_rejected():
