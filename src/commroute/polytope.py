@@ -23,6 +23,8 @@ import numpy as np
 from .graphs import Graph
 
 ENUMERATION_NODE_CAP = 24
+# bases solved per batched SVD in enumerate_polytope_vertices
+_BASIS_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,9 @@ def enumerate_polytope_vertices(
     """All vertices of {assignment rows, constraints, unit box}, exactly.
 
     Walks every basis (choice of tight inequalities completing the equality
-    rows to full rank), so the cost is a binomial coefficient; raises
-    ValueError when that exceeds max_bases instead of returning a partial
-    answer.
+    rows to full rank), a batch at a time, so the cost is a binomial
+    coefficient; raises ValueError when that exceeds max_bases instead of
+    returning a partial answer.
     """
     import math
 
@@ -297,19 +299,24 @@ def enumerate_polytope_vertices(
             f"vertex enumeration needs {n_bases} bases, above the cap of {max_bases}"
         )
     verts: set[tuple[float, ...]] = set()
-    for comb in itertools.combinations(range(len(ub)), need):
-        rows = np.vstack([a_eq, ub[list(comb)]])
-        rhs = np.concatenate([b_eq, ub_rhs[list(comb)]])
-        if np.linalg.matrix_rank(rows) < dim:
-            continue
-        v, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if np.max(np.abs(rows @ v - rhs)) > tol:
-            continue
-        if np.any(ub @ v > ub_rhs + tol):
-            continue
-        if np.max(np.abs(a_eq @ v - b_eq)) > tol:
-            continue
-        verts.add(tuple(float(c) for c in np.round(v, 9) + 0.0))
+    combos = itertools.combinations(range(len(ub)), need)
+    while batch := list(itertools.islice(combos, _BASIS_BATCH)):
+        comb = np.array(batch, dtype=np.intp)
+        k = len(comb)
+        rows = np.concatenate([np.broadcast_to(a_eq, (k, *a_eq.shape)), ub[comb]], axis=1)
+        rhs = np.concatenate([np.broadcast_to(b_eq, (k, len(b_eq))), ub_rhs[comb]], axis=1)
+        # one SVD per basis gives both the rank test and the least-squares
+        # point; the rank tolerance is numpy.linalg.matrix_rank's default
+        u, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        rank_tol = sv[:, :1] * max(rows.shape[1:]) * np.finfo(float).eps
+        full = np.all(sv > rank_tol, axis=1)
+        rows, rhs, u, sv, vh = rows[full], rhs[full], u[full], sv[full], vh[full]
+        v = np.einsum("kji,kj->ki", vh, np.einsum("kji,kj->ki", u, rhs) / sv)
+        ok = np.max(np.abs(np.einsum("kij,kj->ki", rows, v) - rhs), axis=1) <= tol
+        ok &= np.all(v @ ub.T <= ub_rhs + tol, axis=1)
+        ok &= np.max(np.abs(v @ a_eq.T - b_eq), axis=1) <= tol
+        for vert in np.round(v[ok], 9) + 0.0:
+            verts.add(tuple(float(c) for c in vert))
     return sorted(verts)
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -152,6 +155,23 @@ def brute_min_depth(inst, sol) -> int | None:
         if best is None or extra < best:
             best = extra
     return None if best is None else k + best
+
+
+# ---------------------------------------------------------------------------
+# independent solves in worker processes
+
+def parallel_map(fn, *iterables) -> list:
+    """list(map(fn, *iterables)), spread over up to two worker processes.
+
+    For sweeps of independent, single-threaded solver runs. Workers are
+    spawned rather than forked, so they never inherit the solver threads
+    the test process already holds; fn and its arguments must pickle.
+    """
+    workers = min(2, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 @pytest.fixture

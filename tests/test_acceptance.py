@@ -46,7 +46,14 @@ from commroute.solutions import (
     validate_swap_solution,
 )
 
-from conftest import all_trees, brute_min_depth, connected_graphs, random_connected_graph, random_tree
+from conftest import (
+    all_trees,
+    brute_min_depth,
+    connected_graphs,
+    parallel_map,
+    random_connected_graph,
+    random_tree,
+)
 
 BACKEND = ScipyBackend()
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,15 +99,19 @@ def test_criterion_01_worked_example():
 
 
 def test_criterion_02_oracle_milp_equivalence(sweep):
+    jobs = [(inst, t, variant, ref["at"][t])
+            for inst, ref in sweep
+            for t in (ref["mt"], ref["mt"] + 1)
+            for variant in ModelVariant]
+    insts, horizons, variants, wants = zip(*jobs)
+    # the solves are independent, so they run side by side
+    attempts = parallel_map(solve_min_swaps_at, insts, horizons, variants,
+                            [BACKEND] * len(jobs))
     mismatches = []
-    for inst, ref in sweep:
-        for t in (ref["mt"], ref["mt"] + 1):
-            want = ref["at"][t]
-            for variant in ModelVariant:
-                att = solve_min_swaps_at(inst, steps=t, variant=variant, backend=BACKEND)
-                if att.status != "optimal" or att.swaps != want:
-                    mismatches.append((inst.hardware.edges, inst.algorithm.edges,
-                                       t, variant.value, att.status, att.swaps, want))
+    for inst, t, variant, want, att in zip(insts, horizons, variants, wants, attempts):
+        if att.status != "optimal" or att.swaps != want:
+            mismatches.append((inst.hardware.edges, inst.algorithm.edges,
+                               t, variant.value, att.status, att.swaps, want))
     assert not mismatches, mismatches[:5]
 
 
