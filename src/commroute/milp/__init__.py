@@ -1,12 +1,9 @@
-"""Integer programming layer: model container, solver backends, builders."""
+"""Integer programming layer: model container, HiGHS solver, builders."""
 
 from .model import MilpModel, Variable, LinearConstraint, export_lp, parse_lp
 from .backends import (
     SolveResult,
-    SolverBackend,
     ScipyBackend,
-    BranchBoundBackend,
-    default_backend,
     solve_lp_relaxation,
 )
 from .models import (
@@ -29,10 +26,7 @@ __all__ = [
     "export_lp",
     "parse_lp",
     "SolveResult",
-    "SolverBackend",
     "ScipyBackend",
-    "BranchBoundBackend",
-    "default_backend",
     "solve_lp_relaxation",
     "ModelVariant",
     "build_base",

@@ -1,9 +1,9 @@
 """Generic mixed-integer linear model container with LP text round-trip.
 
-The container is solver-agnostic: builders declare variables and rows, the
-backends module turns the arrays into a scipy call or a small built-in
-branch-and-bound run. Export is deterministic down to the byte so model
-builds can be golden-tested.
+The container is solver-agnostic: builders declare variables and rows, and
+the backends module assembles them into sparse arrays for a HiGHS solve
+through scipy. Export is deterministic down to the byte so model builds can
+be golden-tested.
 """
 
 from __future__ import annotations

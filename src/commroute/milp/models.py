@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..graphs import Graph, automorphism_orbits
 from ..polytope import block_covering_constraints
 from ..solutions import SwapSolution, TmpInstance, TokenPlacement
-from .backends import SolveResult, SolverBackend, default_backend
+from .backends import ScipyBackend, SolveResult
 from .model import MilpModel
 
 
@@ -362,7 +362,7 @@ def decode_solution(inst: TmpInstance, T: int, result: SolveResult) -> SwapSolut
 
 @dataclass
 class SolveAttempt:
-    status: str  # backend status: optimal | infeasible | timeout | ...
+    status: str  # solver status: optimal | infeasible | timeout | ...
     swaps: int | None
     solution: SwapSolution | None
     runtime: float
@@ -379,7 +379,6 @@ def solve_min_swaps_at(
     inst: TmpInstance,
     steps: int,
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED,
-    backend: SolverBackend | None = None,
     time_limit: float | None = None,
     use_symmetry: bool = False,
     use_fixing: bool = False,
@@ -400,8 +399,7 @@ def solve_min_swaps_at(
         add_hardware_symmetry(model, inst, T)
     if use_fixing:
         add_complete_placement_fixing(model, inst, T)
-    backend = backend or default_backend()
-    result = backend.solve(model, time_limit=time_limit)
+    result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         return SolveAttempt(result.status, None, None, result.runtime)
     swaps = _integral_objective(result.objective)

@@ -4,14 +4,13 @@ Ground truth the optimization models are tested against. Exact but
 exponential: instances above the node limit are refused outright.
 
 Two interchangeable search kernels exist; the compiled one is used when the
-extension built, and COMMROUTE_PURE_PYTHON=1 forces the pure-Python twin.
+extension built, and the pure-Python twin otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 
 from . import _search_py
 from .bounds import max_gain_per_step, max_gain_per_swap
@@ -23,17 +22,14 @@ try:
 except ImportError:
     _kernels = None
 
-if _kernels is not None and not os.environ.get("COMMROUTE_PURE_PYTHON"):
-    _impl = _kernels
-else:
-    _impl = _search_py
+_impl = _search_py if _kernels is None else _kernels
 
 IMPLEMENTATION: str = _impl.IMPL_NAME
 
 
 def _kernel_for(n: int, num_connections: int):
-    """The compiled kernel packs state into 64-bit words; beyond its reach
-    (or when forced), searches run on the pure-Python twin."""
+    """The compiled kernel packs state into 64-bit words; beyond its reach,
+    searches run on the pure-Python twin."""
     if _impl is _search_py:
         return _search_py
     if n > _kernels.MAX_NODES or num_connections > _kernels.MAX_CONNECTIONS:

@@ -24,7 +24,7 @@ from math import ceil
 
 from .bounds import step_lower_bound, swap_lower_bound
 from .graphs import Graph, bridged_cycles_graph, grid_graph
-from .milp.backends import ScipyBackend, SolverBackend, default_backend
+from .milp.backends import ScipyBackend
 from .milp.models import (
     ModelVariant,
     build_swap_step_model,
@@ -53,14 +53,10 @@ class PipelineConfig:
     use_step_lower_bound: bool = True
     use_hardware_symmetry: bool = False
     use_complete_fixing: bool | None = None  # None = auto when every pair is a gate
-    backend: SolverBackend | None = None
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-
-    def resolve_backend(self) -> SolverBackend:
-        return self.backend or default_backend()
 
 
 @dataclass
@@ -128,12 +124,15 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
     On a solver timeout the result carries whatever was established, with
-    the optimality flags of the missing pieces left False.
+    the optimality flags of the missing pieces left False. Each phase's
+    entry in `timings` is the wall time of its model builds, solves and
+    decodes: `find_min_steps` covers the infeasible probes,
+    `min_swaps_at_min_steps` the first feasible one and `min_swaps_overall`
+    the phase-3 solve.
     """
     cfg = cfg or PipelineConfig()
     if not inst.hardware.is_connected():
         raise ValueError("hardware graph must be connected")
-    backend = cfg.resolve_backend()
     res = PipelineResult()
 
     t0 = time.monotonic()
@@ -158,23 +157,25 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     attempt = None
     t = t_start
     while t <= t_cap:
+        t0 = time.monotonic()
         a = solve_min_swaps_at(
-            inst, t, cfg.variant, backend,
+            inst, t, cfg.variant,
             time_limit=cfg.time_limit, use_symmetry=symmetry, use_fixing=fixing,
         )
+        probe = time.monotonic() - t0
         if a.status == "timeout":
-            res.timings["find_min_steps"] = phase1 + a.runtime
+            res.timings["find_min_steps"] = phase1 + probe
             res.notes.append(f"solve timed out while probing {t} steps")
             return res
         if a.status == "optimal":
             attempt = a
             break
-        phase1 += a.runtime
+        phase1 += probe
         t += 1
     if attempt is None:
         raise RuntimeError(f"no feasible step count up to {t_cap}")
     res.timings["find_min_steps"] = phase1
-    res.timings["min_swaps_at_min_steps"] = attempt.runtime
+    res.timings["min_swaps_at_min_steps"] = probe
     res.mt = t
     res.mt_optimal = True
     res.ms_at_mt = attempt.swaps
@@ -204,7 +205,9 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         from .milp.models import add_complete_placement_fixing
 
         add_complete_placement_fixing(model, inst, steps=target)
-    step_result = backend.solve(model, time_limit=cfg.time_limit)
+    step_result = ScipyBackend().solve(model, time_limit=cfg.time_limit)
+    if step_result.is_optimal:
+        step_solution = decode_solution(inst, target + 1, step_result)
     res.timings["min_swaps_overall"] = time.monotonic() - t0
     if step_result.status == "infeasible":
         res.ms = res.ms_at_mt
@@ -220,7 +223,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     res.ms = int(round(step_result.objective))
     res.ms_optimal = True
     res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
-    res.swap_solution = _compacted(decode_solution(inst, target + 1, step_result))
+    res.swap_solution = _compacted(step_solution)
     return res
 
 
@@ -231,9 +234,7 @@ def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResul
     if res.swap_solution is None:
         return res
     t0 = time.monotonic()
-    outcome = schedule_circuit(
-        inst, res.swap_solution, backend=cfg.resolve_backend(), time_limit=cfg.time_limit
-    )
+    outcome = schedule_circuit(inst, res.swap_solution, time_limit=cfg.time_limit)
     res.timings["schedule"] = time.monotonic() - t0
     res.schedule = outcome
     res.routed_circuit = outcome.circuit

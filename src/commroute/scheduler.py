@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .milp.backends import SolverBackend, default_backend
+from .milp.backends import ScipyBackend
 from .milp.model import MilpModel
 from .solutions import (
     CircuitLayer,
@@ -282,7 +282,6 @@ class ScheduleOutcome:
 def schedule_circuit(
     inst: TmpInstance,
     sol: SwapSolution,
-    backend: SolverBackend | None = None,
     time_limit: float | None = None,
     use_greedy: bool = False,
 ) -> ScheduleOutcome:
@@ -297,8 +296,7 @@ def schedule_circuit(
         extra = circuit.depth - ctx.num_steps
         return ScheduleOutcome(circuit, extra, "greedy", False, "feasible")
     model = build_schedule_model(ctx)
-    backend = backend or default_backend()
-    result = backend.solve(model, time_limit=time_limit)
+    result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         raise RuntimeError(f"schedule solve ended with status {result.status}")
     assignment = extract_assignment(ctx, result.values)

@@ -105,8 +105,7 @@ def test_criterion_02_oracle_milp_equivalence(sweep):
             for variant in ModelVariant]
     insts, horizons, variants, wants = zip(*jobs)
     # the solves are independent, so they run side by side
-    attempts = parallel_map(solve_min_swaps_at, insts, horizons, variants,
-                            [BACKEND] * len(jobs))
+    attempts = parallel_map(solve_min_swaps_at, insts, horizons, variants)
     mismatches = []
     for inst, t, variant, want, att in zip(insts, horizons, variants, wants, attempts):
         if att.status != "optimal" or att.swaps != want:
@@ -192,7 +191,7 @@ def _schedule_cases_random(rng, count):
         inst = TmpInstance(h, Graph(4, gates))
         att = None
         for steps in (0, 1, 2):
-            att = solve_min_swaps_at(inst, steps=steps, backend=BACKEND)
+            att = solve_min_swaps_at(inst, steps=steps)
             if att.status == "optimal":
                 break
         if att.status != "optimal":
@@ -206,7 +205,7 @@ def test_criterion_07_schedule_optimality():
     cases = itertools.chain(_schedule_cases_p3(), _schedule_cases_random(rng, 20))
     for inst, sol in cases:
         want = brute_min_depth(inst, sol)
-        out = schedule_circuit(inst, sol, backend=BACKEND)
+        out = schedule_circuit(inst, sol)
         assert out.circuit.depth == want, (inst.hardware.edges, inst.algorithm.edges, sol)
         v = validate_routed_circuit(inst, out.circuit)
         assert v.valid, v.problems

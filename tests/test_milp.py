@@ -55,20 +55,20 @@ def test_variant_from_string():
 
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_variants_agree_on_example(variant):
-    att = solve_min_swaps_at(example(), steps=2, variant=variant, backend=BACKEND)
+    att = solve_min_swaps_at(example(), steps=2, variant=variant)
     assert att.status == "optimal"
     assert att.swaps == 4
 
 
 def test_example_at_three_steps():
-    att = solve_min_swaps_at(example(), steps=3, backend=BACKEND)
+    att = solve_min_swaps_at(example(), steps=3)
     assert att.swaps == 3
     v = validate_swap_solution(example(), att.solution)
     assert v.valid, v.problems
 
 
 def test_infeasible_below_min_steps():
-    att = solve_min_swaps_at(example(), steps=1, backend=BACKEND)
+    att = solve_min_swaps_at(example(), steps=1)
     assert att.status == "infeasible"
     assert att.swaps is None and att.solution is None
 
@@ -78,7 +78,7 @@ def test_decoded_solutions_validate():
     for _ in range(6):
         inst = TmpInstance(random_connected_graph(4, rng), random_connected_graph(4, rng))
         t = oracle_min_steps(inst)
-        att = solve_min_swaps_at(inst, steps=t, backend=BACKEND)
+        att = solve_min_swaps_at(inst, steps=t)
         assert att.status == "optimal"
         v = validate_swap_solution(inst, att.solution)
         assert v.valid, v.problems
@@ -90,7 +90,7 @@ def test_matches_oracle_spot_checks():
     for _ in range(5):
         inst = TmpInstance(random_connected_graph(4, rng), random_connected_graph(4, rng))
         t = oracle_min_steps(inst) + 1
-        att = solve_min_swaps_at(inst, steps=t, backend=BACKEND)
+        att = solve_min_swaps_at(inst, steps=t)
         assert att.swaps == oracle_min_swaps_at(inst, t)
 
 
@@ -131,16 +131,16 @@ def test_swap_step_decode():
 
 def test_symmetry_preserves_optimum():
     inst = example()
-    plain = solve_min_swaps_at(inst, steps=2, backend=BACKEND)
-    anchored = solve_min_swaps_at(inst, steps=2, backend=BACKEND, use_symmetry=True)
+    plain = solve_min_swaps_at(inst, steps=2)
+    anchored = solve_min_swaps_at(inst, steps=2, use_symmetry=True)
     assert anchored.swaps == plain.swaps
     assert validate_swap_solution(inst, anchored.solution).valid
 
 
 def test_complete_fixing_preserves_optimum():
     inst = p4k4()
-    plain = solve_min_swaps_at(inst, steps=2, backend=BACKEND)
-    fixed = solve_min_swaps_at(inst, steps=2, backend=BACKEND, use_fixing=True)
+    plain = solve_min_swaps_at(inst, steps=2)
+    fixed = solve_min_swaps_at(inst, steps=2, use_fixing=True)
     assert fixed.swaps == plain.swaps
     assert validate_swap_solution(inst, fixed.solution).valid
 

@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
+
+import commroute.milp.models as milp_models
 
 from commroute.bounds import swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
@@ -51,6 +54,20 @@ def test_phase_three_skipped_when_tight():
         assert res.complete
         assert "min_swaps_overall" not in res.timings
         assert any(note.startswith("certified by bound") for note in res.notes)
+
+
+def test_timings_include_model_build(monkeypatch):
+    build = milp_models.build_variant
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.2)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(milp_models, "build_variant", slow_build)
+    res = solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+    assert res.mt == 1
+    assert res.timings["find_min_steps"] == 0  # the first probe is feasible
+    assert res.timings["min_swaps_at_min_steps"] >= 0.2
 
 
 def _oracle_profile(inst):

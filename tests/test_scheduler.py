@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commroute.graphs import Graph, cycle_graph, path_graph, star_graph
-from commroute.milp import ScipyBackend, solve_min_swaps_at
+from commroute.milp import solve_min_swaps_at
 from commroute.scheduler import (
     compute_windows,
     greedy_schedule,
@@ -17,8 +17,6 @@ from commroute.solutions import (
 )
 
 from conftest import brute_min_depth, random_connected_graph
-
-BACKEND = ScipyBackend()
 
 
 def test_windows_zero_swap_case():
@@ -42,7 +40,7 @@ def test_zero_swap_path_needs_two_extra_layers():
     # P4's three edges as gates form a path, whose edges 2-color
     inst = TmpInstance(path_graph(4), path_graph(4))
     sol = SwapSolution(TokenPlacement.identity(4), ())
-    out = schedule_circuit(inst, sol, backend=BACKEND)
+    out = schedule_circuit(inst, sol)
     assert out.extra_layers == 2
     assert out.circuit.depth == 2
     assert validate_routed_circuit(inst, out.circuit).valid
@@ -51,7 +49,7 @@ def test_zero_swap_path_needs_two_extra_layers():
 def test_gate_rides_swap_layer():
     inst = TmpInstance(path_graph(4), Graph(2, [(0, 1)]))
     sol = SwapSolution(TokenPlacement.identity(4), (((2, 3),),))
-    out = schedule_circuit(inst, sol, backend=BACKEND)
+    out = schedule_circuit(inst, sol)
     assert out.extra_layers == 0
     assert out.circuit.depth == 1
     layer = out.circuit.layers[0]
@@ -62,7 +60,7 @@ def test_gate_rides_swap_layer():
 def test_zero_gate_solution_passes_through():
     inst = TmpInstance(path_graph(3), Graph(3, []))
     sol = SwapSolution(TokenPlacement.identity(3), (((0, 1),),))
-    out = schedule_circuit(inst, sol, backend=BACKEND)
+    out = schedule_circuit(inst, sol)
     assert out.method == "direct"
     assert out.circuit.depth == 1
     assert out.circuit.swaps == 1
@@ -70,8 +68,8 @@ def test_zero_gate_solution_passes_through():
 
 def test_example_end_to_end():
     inst = TmpInstance(path_graph(6), star_graph(6))
-    att = solve_min_swaps_at(inst, steps=3, backend=BACKEND)
-    out = schedule_circuit(inst, att.solution, backend=BACKEND)
+    att = solve_min_swaps_at(inst, steps=3)
+    out = schedule_circuit(inst, att.solution)
     v = validate_routed_circuit(inst, out.circuit)
     assert v.valid, v.problems
     swap_multiset = sorted(e for layer in out.circuit.layers for e in layer.swap_edges)
@@ -81,8 +79,8 @@ def test_example_end_to_end():
 
 def test_greedy_validates_and_is_no_better():
     inst = TmpInstance(path_graph(6), star_graph(6))
-    att = solve_min_swaps_at(inst, steps=3, backend=BACKEND)
-    exact = schedule_circuit(inst, att.solution, backend=BACKEND)
+    att = solve_min_swaps_at(inst, steps=3)
+    exact = schedule_circuit(inst, att.solution)
     greedy = schedule_circuit(inst, att.solution, use_greedy=True)
     assert validate_routed_circuit(inst, greedy.circuit).valid
     assert greedy.circuit.depth >= exact.circuit.depth
@@ -98,13 +96,13 @@ def test_depth_matches_brute_force_small(rng):
         inst = TmpInstance(h, Graph(4, gates))
         att = None
         for steps in range(3):
-            att = solve_min_swaps_at(inst, steps=steps, backend=BACKEND)
+            att = solve_min_swaps_at(inst, steps=steps)
             if att.status == "optimal":
                 break
         if att is None or att.status != "optimal":
             continue
         want = brute_min_depth(inst, att.solution)
-        out = schedule_circuit(inst, att.solution, backend=BACKEND)
+        out = schedule_circuit(inst, att.solution)
         assert out.circuit.depth == want, (h.edges, gates, att.solution)
         checked += 1
 
@@ -113,7 +111,7 @@ def test_greedy_assignment_covers_every_gate(rng):
     inst = TmpInstance(cycle_graph(5), Graph(5, [(0, 2), (1, 3)]))
     att = None
     for steps in range(4):
-        att = solve_min_swaps_at(inst, steps=steps, backend=BACKEND)
+        att = solve_min_swaps_at(inst, steps=steps)
         if att.status == "optimal":
             break
     ctx = compute_windows(inst, att.solution)
