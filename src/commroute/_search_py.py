@@ -1,35 +1,18 @@
-"""Pure-Python search kernels behind the exhaustive oracle.
+"""Search kernel behind the exhaustive oracle.
 
-The compiled twin in _kernels.pyx implements the same two functions with the
-same signatures and semantics; commroute.oracle picks one at import time.
+A state is (tok_at, mask):
+ - tok_at is a placement, the token sitting on each node, kept as a tuple
+   so it serves directly as the key of the visited table
+ - mask is a bitmask over connection indices, the union of the
+   connections realized by every placement visited so far
 
-State encoding shared by both implementations:
- - a placement is carried as tok_at, the token sitting on each node
- - tok_at is hashed as an int with a fixed number of bits per node, wide
-   enough for every token label: 4 up to 16 nodes, as in the compiled
-   twin, and (n - 1).bit_length() beyond that, so distinct placements
-   never share a code
- - coverage is a bitmask over connection indices; a state's mask is the
-   union over every placement visited so far, so a state is (tok_at, mask)
+Tuple keys are equal exactly when placements are, so no two placements
+share a visited entry at any node count.
 """
 
 from __future__ import annotations
 
 import heapq
-
-IMPL_NAME = "python"
-
-
-def _code_width(n: int) -> int:
-    """Bits per node in a placement code; token labels run 0..n-1."""
-    return max(4, (n - 1).bit_length())
-
-
-def _encode(tok_at: list[int], width: int) -> int:
-    code = 0
-    for t in tok_at:
-        code = (code << width) | t
-    return code
 
 
 def _coverage(tok_at, hw_edges, conn_bit, n: int) -> int:
@@ -57,15 +40,14 @@ def min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, max_depth):
     Returns -1 when the search space is exhausted (or max_depth exceeded)
     without reaching full coverage.
     """
-    width = _code_width(n)
-    visited: dict[int, list[int]] = {}
+    visited: dict[tuple[int, ...], list[int]] = {}
     frontier: list[tuple[list[int], int]] = []
     for s in starts:
         tok = list(s)
         c = _coverage(tok, hw_edges, conn_bit, n)
         if c == full_mask:
             return 0
-        if _push_mask(visited.setdefault(_encode(tok, width), []), c):
+        if _push_mask(visited.setdefault(tuple(s), []), c):
             frontier.append((tok, c))
     depth = 0
     while frontier and depth < max_depth:
@@ -80,7 +62,7 @@ def min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, max_depth):
                 c2 = cov | _coverage(t2, hw_edges, conn_bit, n)
                 if c2 == full_mask:
                     return depth
-                if _push_mask(visited.setdefault(_encode(t2, width), []), c2):
+                if _push_mask(visited.setdefault(tuple(t2), []), c2):
                     nxt.append((t2, c2))
         frontier = nxt
     return -1
@@ -95,11 +77,10 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
     and prunes states that cannot finish in the remaining budget.
     """
     sizes = [len(m) // 2 for m in matchings]
-    width = _code_width(n)
-    visited: dict[int, list[tuple[int, int, int]]] = {}
+    visited: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
-    def admit(code: int, cov: int, steps: int, g: int) -> bool:
-        entries = visited.setdefault(code, [])
+    def admit(key: tuple[int, ...], cov: int, steps: int, g: int) -> bool:
+        entries = visited.setdefault(key, [])
         for c2, s2, g2 in entries:
             if c2 & cov == cov and s2 <= steps and g2 <= g:
                 return False
@@ -120,16 +101,16 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
     heap: list[tuple[int, int, int, int, tuple[int, ...], int]] = []
     counter = 0
     for s in starts:
-        tok = list(s)
-        cov = _coverage(tok, hw_edges, conn_bit, n)
+        cov = _coverage(s, hw_edges, conn_bit, n)
         uncov = full_mask & ~cov
         h = heuristic(uncov)
         if h < 0:
             continue
         if uncov and step_capacity > 0 and uncov.bit_count() > max_steps * step_capacity:
             continue
-        if admit(_encode(tok, width), cov, 0, 0):
-            heapq.heappush(heap, (h, 0, 0, counter, tuple(tok), cov))
+        key = tuple(s)
+        if admit(key, cov, 0, 0):
+            heapq.heappush(heap, (h, 0, 0, counter, key, cov))
             counter += 1
     while heap:
         f, g, steps, _, tok, cov = heapq.heappop(heap)
@@ -151,7 +132,8 @@ def min_swaps_within(n, starts, matchings, hw_edges, conn_bit, full_mask,
                 continue
             if uncov and step_capacity > 0 and uncov.bit_count() > (max_steps - s2) * step_capacity:
                 continue
-            if admit(_encode(t2, width), c2, s2, g2):
-                heapq.heappush(heap, (g2 + h, g2, s2, counter, tuple(t2), c2))
+            key = tuple(t2)
+            if admit(key, c2, s2, g2):
+                heapq.heappush(heap, (g2 + h, g2, s2, counter, key, c2))
                 counter += 1
     return -1

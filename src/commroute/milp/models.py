@@ -365,7 +365,6 @@ class SolveAttempt:
     status: str  # solver status: optimal | infeasible | timeout | ...
     swaps: int | None
     solution: SwapSolution | None
-    runtime: float
 
 
 def _integral_objective(value: float, tol: float = 1e-6) -> int:
@@ -401,7 +400,7 @@ def solve_min_swaps_at(
         add_complete_placement_fixing(model, inst, T)
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
-        return SolveAttempt(result.status, None, None, result.runtime)
+        return SolveAttempt(result.status, None, None)
     swaps = _integral_objective(result.objective)
     solution = decode_solution(inst, T, result)
-    return SolveAttempt("optimal", swaps, solution, result.runtime)
+    return SolveAttempt("optimal", swaps, solution)

@@ -3,8 +3,11 @@
 Ground truth the optimization models are tested against. Exact but
 exponential: instances above the node limit are refused outright.
 
-Two interchangeable search kernels exist; the compiled one is used when the
-extension built, and the pure-Python twin otherwise.
+This module reduces the start placements and prepares the instance tables;
+the search itself runs in the kernel module _search_py, where a state is a
+placement tuple together with the mask of connections it has covered. The
+kernel functions are looked up on that module at every call, so a wrapper
+installed on _search_py (a profiler or tracer) sees every search.
 """
 
 from __future__ import annotations
@@ -17,25 +20,6 @@ from .bounds import max_gain_per_step, max_gain_per_swap
 from .graphs import Graph, all_matchings, automorphisms
 from .solutions import TmpInstance, is_subgraph_placement
 
-try:
-    from . import _kernels  # compiled twin, optional
-except ImportError:
-    _kernels = None
-
-_impl = _search_py if _kernels is None else _kernels
-
-IMPLEMENTATION: str = _impl.IMPL_NAME
-
-
-def _kernel_for(n: int, num_connections: int):
-    """The compiled kernel packs state into 64-bit words; beyond its reach,
-    searches run on the pure-Python twin."""
-    if _impl is _search_py:
-        return _search_py
-    if n > _kernels.MAX_NODES or num_connections > _kernels.MAX_CONNECTIONS:
-        return _search_py
-    return _impl
-
 DEFAULT_NODE_LIMIT = 7
 _REDUCTION_WORK_CAP = 2_000_000
 
@@ -46,17 +30,6 @@ class SizeLimitError(ValueError):
 
 class InfeasibleInstanceError(ValueError):
     pass
-
-
-def search_impl(name: str):
-    """Kernel module by name ('python' or 'compiled'); used by the benchmark."""
-    if name == "python":
-        return _search_py
-    if name == "compiled":
-        if _kernels is None:
-            raise RuntimeError("compiled kernel not built")
-        return _kernels
-    raise ValueError(f"unknown implementation {name!r}")
 
 
 def _check_size(inst: TmpInstance, node_limit: int) -> None:
@@ -113,8 +86,7 @@ def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
         return 0
     n, conn_bit, hw_edges, matchings, full_mask = _prepared(inst)
     starts = _initial_placements(inst)
-    kernel = _kernel_for(n, len(inst.connections))
-    result = kernel.min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, n * n * n)
+    result = _search_py.min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, n * n * n)
     if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
     return result
@@ -131,8 +103,7 @@ def oracle_min_swaps_at(
         return 0
     n, conn_bit, hw_edges, matchings, full_mask = _prepared(inst)
     starts = _initial_placements(inst)
-    kernel = _kernel_for(n, len(inst.connections))
-    result = kernel.min_swaps_within(
+    result = _search_py.min_swaps_within(
         n, starts, matchings, hw_edges, conn_bit, full_mask,
         steps, max_gain_per_swap(inst.hardware), max_gain_per_step(inst.hardware),
     )

@@ -338,10 +338,13 @@ def verify_integer_hull(
     dimension is at most enumerate_dim_limit and the basis count fits under
     max_bases, all vertices are enumerated exactly as well. Returns a
     report dict; report["integral"] is False with a witness vector when a
-    fractional vertex shows up.
+    fractional vertex shows up. num_objectives must be at least 1: a report
+    that probed no objective would certify nothing.
     """
     from scipy.optimize import linprog
 
+    if num_objectives < 1:
+        raise ValueError(f"num_objectives must be at least 1, got {num_objectives}")
     if constraints is None:
         constraints = exact_description(g, relation)
     points = {(i, j, z) for (i, j, z) in meeting_points(g, relation)}

@@ -20,3 +20,28 @@ def test_every_traced_name_exists(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_kernel_calls_reach_the_tracer(monkeypatch):
+    # the oracle must look the kernel functions up on commroute._search_py at
+    # call time; binding them at import would bypass the wrappers and zero
+    # oracle.kernel_s, oracle.kernel_calls and oracle.starts
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from commroute import oracle
+    from commroute.graphs import complete_graph, path_graph
+    from commroute.solutions import TmpInstance
+
+    inst = TmpInstance(path_graph(4), complete_graph(4))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        mt = oracle.oracle_min_steps(inst)
+        oracle.oracle_min_swaps_at(inst, mt)
+    finally:
+        tracer.uninstall()
+    for name in ("kernel.min_steps", "kernel.min_swaps_within"):
+        spans = [s for s in tracer.spans if s["name"] == name]
+        assert spans, name
+        assert all(s["starts"] >= 1 for s in spans), spans

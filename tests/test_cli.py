@@ -136,6 +136,13 @@ def test_polytope(capsys, tmp_path):
     assert payload["integral"] and payload["zero_one_exact"]
 
 
+def test_polytope_without_objectives_is_input_error(capsys):
+    code, payload, err = run(capsys, "polytope", "--hardware", "grid3x3", "--objectives", "0")
+    assert code == 4
+    assert payload is None
+    assert "num_objectives" in json.loads(err)["error"]
+
+
 def test_ingest(capsys, tmp_path):
     gates = tmp_path / "gates.txt"
     gates.write_text("a b\nb c\na b\n")

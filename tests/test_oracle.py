@@ -6,12 +6,10 @@ import pytest
 
 from commroute.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from commroute.oracle import (
-    IMPLEMENTATION,
     SizeLimitError,
     oracle_min_steps,
     oracle_min_swaps,
     oracle_min_swaps_at,
-    search_impl,
 )
 from commroute.solutions import TmpInstance
 
@@ -94,50 +92,3 @@ def test_no_connections_is_free():
     assert oracle_min_swaps(inst) == 0
     assert oracle_min_swaps_at(inst, 0) == 0
 
-
-def test_kernels_agree(rng):
-    pure = search_impl("python")
-    try:
-        fast = search_impl("compiled")
-    except RuntimeError:
-        pytest.skip("compiled kernel not built")
-    import commroute.oracle as om
-
-    saved = om._impl
-    try:
-        for _ in range(12):
-            inst = TmpInstance(random_connected_graph(4, rng), random_connected_graph(4, rng))
-            results = {}
-            for impl in (pure, fast):
-                om._impl = impl
-                results[impl.IMPL_NAME] = (
-                    oracle_min_steps(inst),
-                    oracle_min_swaps(inst),
-                    oracle_min_swaps_at(inst, oracle_min_steps(inst)),
-                )
-            vals = list(results.values())
-            assert vals[0] == vals[1], results
-    finally:
-        om._impl = saved
-
-
-def test_implementation_reports_name():
-    assert IMPLEMENTATION in ("python", "compiled")
-
-
-def test_placement_code_is_injective_beyond_16_nodes():
-    from commroute._search_py import _code_width, _encode
-
-    # at 4 bits per node these two collided: (1 << 4) | 0 == (0 << 4) | 16
-    w = _code_width(17)
-    assert _encode([1, 0], w) != _encode([0, 16], w)
-    # up to 16 nodes the width stays 4 bits, so codes are as before
-    assert [_code_width(n) for n in (2, 9, 16, 17, 32, 33)] == [4, 4, 4, 5, 5, 6]
-    r = random.Random(17)
-    for n in (17, 33):
-        w = _code_width(n)
-        for _ in range(50):
-            tok = r.sample(range(n), n)
-            code = _encode(tok, w)
-            digits = [(code >> (w * (n - 1 - i))) & ((1 << w) - 1) for i in range(n)]
-            assert digits == tok

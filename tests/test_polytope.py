@@ -179,6 +179,15 @@ def test_integer_hull_verified(h):
     assert report["fractional_vertex"] is None
 
 
+@pytest.mark.parametrize("num_objectives", [0, -1])
+def test_hull_check_needs_an_objective(num_objectives):
+    # above the enumeration limit no vertex is enumerated, so with no LP
+    # probe either the report would claim integrality on no evidence
+    g = hardware_to_bipartite(path_graph(3))
+    with pytest.raises(ValueError, match="num_objectives"):
+        verify_integer_hull(g, "eq", num_objectives=num_objectives, enumerate_dim_limit=0)
+
+
 def test_leq_hull_verified():
     g = hardware_to_bipartite(cycle_graph(4))
     report = verify_integer_hull(g, "leq", num_objectives=100, seed=2)
