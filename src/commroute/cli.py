@@ -24,13 +24,14 @@ from .oracle import (
 from .pipeline import (
     HARDWARE_PRESETS,
     PipelineConfig,
+    PipelineResult,
     circuit_ingest,
     generate_instance,
     route,
     solve_min_swaps,
 )
 from .polytope import exact_description, hardware_to_bipartite, verify_integer_hull
-from .scheduler import schedule_circuit
+from .scheduler import ScheduleSolveError, schedule_circuit
 from .solutions import (
     RoutedCircuit,
     SwapSolution,
@@ -89,14 +90,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _config_from(args) -> PipelineConfig:
-    fixing = {"auto": None, "on": True, "off": False}[args.fixing]
     try:
         return PipelineConfig(
             variant=ModelVariant.from_string(args.variant),
             time_limit=args.time_limit,
-            use_step_lower_bound=not args.no_step_bound,
             use_hardware_symmetry=args.symmetry,
-            use_complete_fixing=fixing,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -107,12 +105,8 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    choices=[v.value for v in ModelVariant])
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-solve limit in seconds")
-    p.add_argument("--no-step-bound", action="store_true",
-                   help="start the step sweep at 0 instead of the lower bound")
     p.add_argument("--symmetry", action="store_true",
                    help="anchor one token using hardware automorphism orbits")
-    p.add_argument("--fixing", default="auto", choices=["auto", "on", "off"],
-                   help="fix the middle placement when every pair interacts")
 
 
 def cmd_generate(args) -> int:
@@ -155,7 +149,7 @@ def cmd_oracle(args) -> int:
         raise InputError(str(exc)) from exc
 
 
-def _run_pipeline(args, runner) -> int:
+def _run_pipeline(args, runner) -> PipelineResult:
     inst = _load_instance(args.instance)
     cfg = _config_from(args)
     try:
@@ -163,15 +157,17 @@ def _run_pipeline(args, runner) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(res.to_dict(), args.out)
-    return EXIT_OK if res.complete else EXIT_PARTIAL
+    return res
 
 
 def cmd_solve(args) -> int:
-    return _run_pipeline(args, solve_min_swaps)
+    res = _run_pipeline(args, solve_min_swaps)
+    return EXIT_OK if res.complete else EXIT_PARTIAL
 
 
 def cmd_route(args) -> int:
-    return _run_pipeline(args, route)
+    res = _run_pipeline(args, route)
+    return EXIT_OK if res.complete and res.routed_circuit is not None else EXIT_PARTIAL
 
 
 def cmd_schedule(args) -> int:
@@ -181,11 +177,10 @@ def cmd_schedule(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad solution file {args.solution}: {exc}") from exc
     try:
-        outcome = schedule_circuit(inst, sol, time_limit=args.time_limit,
-                                   use_greedy=args.greedy)
+        outcome = schedule_circuit(inst, sol, time_limit=args.time_limit)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except RuntimeError as exc:
+    except ScheduleSolveError as exc:
         _emit({"error": str(exc)}, args.out)
         return EXIT_PARTIAL
     _emit({
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("solution")
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--greedy", action="store_true")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("route", help="solve then schedule: full routed circuit")

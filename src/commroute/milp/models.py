@@ -2,9 +2,9 @@
 
 Conventions shared by every builder here:
 
-* A horizon is T placements (bijections token -> node), hence T-1 swap
-  steps; pass either T or steps. Placement indices run 1..T to keep
-  variable names aligned with that convention.
+* A horizon is given as `steps` swap steps, a keyword-only argument; it
+  spans T = steps + 1 placements (bijections token -> node). Placement
+  indices run 1..T, and model names carry T.
 * Tokens are 0..n-1 over the hardware size n; tokens past the algorithm
   size are padding and appear in no gate constraint.
 * Variables, in declaration order: w (token p sits on node i at placement
@@ -42,13 +42,11 @@ class ModelVariant(enum.Enum):
         raise ValueError(f"unknown model variant {s!r}")
 
 
-def _resolve_horizon(T: int | None, steps: int | None) -> int:
-    if (T is None) == (steps is None):
-        raise ValueError("pass exactly one of T (placements) or steps (= T-1)")
-    horizon = T if T is not None else steps + 1
-    if horizon < 1:
-        raise ValueError("need at least one placement")
-    return horizon
+def _placements(steps: int) -> int:
+    """Placement count T of a horizon of `steps` swap steps."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    return steps + 1
 
 
 def _w(t: int, p: int, i: int) -> str:
@@ -67,12 +65,12 @@ def _z(t: int, g: int) -> str:
     return f"z_t{t}_g{g}"
 
 
-def build_base(inst: TmpInstance, T: int | None = None, *, steps: int | None = None) -> MilpModel:
+def build_base(inst: TmpInstance, *, steps: int) -> MilpModel:
     """Placement and routing skeleton, objective = number of swaps.
 
     Gate coverage is NOT included; add_gate_constraints layers it on.
     """
-    T = _resolve_horizon(T, steps)
+    T = _placements(steps)
     h = inst.hardware
     n = h.n
     model = MilpModel(name=f"route_n{n}_T{T}")
@@ -132,13 +130,12 @@ def _ordered_adjacent(h: Graph) -> list[tuple[int, int]]:
 def add_gate_constraints(
     model: MilpModel,
     inst: TmpInstance,
-    T: int | None = None,
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED,
     *,
-    steps: int | None = None,
+    steps: int,
 ) -> MilpModel:
     """Layer gate coverage onto a build_base model, per the chosen variant."""
-    T = _resolve_horizon(T, steps)
+    T = _placements(steps)
     h = inst.hardware
     gates = list(inst.connections)
     pairs = _ordered_adjacent(h)
@@ -212,16 +209,14 @@ def add_gate_constraints(
 
 def build_variant(
     inst: TmpInstance,
-    T: int | None = None,
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED,
     *,
-    steps: int | None = None,
+    steps: int,
 ) -> MilpModel:
-    T = _resolve_horizon(T, steps)
-    return add_gate_constraints(build_base(inst, T), inst, T, variant)
+    return add_gate_constraints(build_base(inst, steps=steps), inst, variant, steps=steps)
 
 
-def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, T: int | None = None, *, steps: int | None = None) -> MilpModel:
+def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, *, steps: int) -> MilpModel:
     """Pin token 0 near one representative per hardware-automorphism orbit.
 
     At the middle placement token 0 must sit on a representative node, and
@@ -229,7 +224,7 @@ def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, T: int | None = N
     than the elapsed steps allow. Off by default; never changes the
     optimal objective, only prunes mirrored solutions.
     """
-    T = _resolve_horizon(T, steps)
+    T = _placements(steps)
     h = inst.hardware
     reps = sorted(min(orbit) for orbit in automorphism_orbits(h))
     k = max(1, T // 2)
@@ -247,10 +242,9 @@ def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, T: int | None = N
 def add_complete_placement_fixing(
     model: MilpModel,
     inst: TmpInstance,
-    T: int | None = None,
     placement: TokenPlacement | None = None,
     *,
-    steps: int | None = None,
+    steps: int,
 ) -> MilpModel:
     """Fix the full middle placement; sound only for all-pairs gate sets.
 
@@ -258,7 +252,7 @@ def add_complete_placement_fixing(
     as the middle one without losing optimal solutions, and tokens can
     then be excluded from nodes farther away than the remaining steps.
     """
-    T = _resolve_horizon(T, steps)
+    T = _placements(steps)
     if not inst.algorithm_is_complete() or inst.algorithm.n != inst.hardware.n:
         raise ValueError(
             "full-placement fixing needs a gate between every pair of tokens"
@@ -279,16 +273,16 @@ def add_complete_placement_fixing(
     return model
 
 
-def build_swap_step_model(inst: TmpInstance, T: int | None = None, *, steps: int | None = None) -> MilpModel:
+def build_swap_step_model(inst: TmpInstance, *, steps: int) -> MilpModel:
     """Minimize active steps with at most one swap each.
 
-    The optimum over T placements equals the minimum swap count achievable
-    with T-1 steps when one-swap-per-step solutions are allowed to idle:
-    step indicators are ordered so active steps form a prefix, and no gate
-    may be newly covered after an idle step.
+    The optimum equals the minimum swap count achievable within `steps`
+    steps when one-swap-per-step solutions are allowed to idle: step
+    indicators are ordered so active steps form a prefix, and no gate may
+    be newly covered after an idle step.
     """
-    T = _resolve_horizon(T, steps)
-    model = build_variant(inst, T, ModelVariant.INDICATOR_ONESIDED)
+    T = _placements(steps)
+    model = build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=steps)
     h = inst.hardware
     n = h.n
     gates = list(inst.connections)
@@ -321,12 +315,13 @@ class DecodeError(ValueError):
     pass
 
 
-def decode_solution(inst: TmpInstance, T: int, result: SolveResult) -> SwapSolution:
+def decode_solution(inst: TmpInstance, result: SolveResult, *, steps: int) -> SwapSolution:
     """Read placements from w values and matchings from x arcs.
 
     Raises DecodeError when the values do not describe placements or when
     arc moves fail to pair up into swaps.
     """
+    T = _placements(steps)
     if result.values is None:
         raise DecodeError(f"no variable values to decode (status {result.status})")
     vals = result.values
@@ -392,15 +387,14 @@ def solve_min_swaps_at(
             "symmetry anchoring and full-placement fixing both pin token "
             "positions and can contradict each other; enable at most one"
         )
-    T = steps + 1
-    model = build_variant(inst, T, variant)
+    model = build_variant(inst, variant, steps=steps)
     if use_symmetry:
-        add_hardware_symmetry(model, inst, T)
+        add_hardware_symmetry(model, inst, steps=steps)
     if use_fixing:
-        add_complete_placement_fixing(model, inst, T)
+        add_complete_placement_fixing(model, inst, steps=steps)
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         return SolveAttempt(result.status, None, None)
     swaps = _integral_objective(result.objective)
-    solution = decode_solution(inst, T, result)
+    solution = decode_solution(inst, result, steps=steps)
     return SolveAttempt("optimal", swaps, solution)

@@ -31,7 +31,7 @@ from .milp.models import (
     decode_solution,
     solve_min_swaps_at,
 )
-from .scheduler import ScheduleOutcome, schedule_circuit
+from .scheduler import ScheduleOutcome, ScheduleSolveError, schedule_circuit
 from .solutions import (
     RoutedCircuit,
     SwapSolution,
@@ -50,9 +50,7 @@ HARDWARE_PRESETS = {
 class PipelineConfig:
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED
     time_limit: float | None = None  # per solve, seconds
-    use_step_lower_bound: bool = True
     use_hardware_symmetry: bool = False
-    use_complete_fixing: bool | None = None  # None = auto when every pair is a gate
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -92,10 +90,6 @@ class PipelineResult:
         }
 
 
-def _compacted(sol: SwapSolution) -> SwapSolution:
-    return SwapSolution(sol.initial, tuple(m for m in sol.matchings if m))
-
-
 def _cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
     """Fewest swaps any solution cheaper than the phase-2 one can have.
 
@@ -123,6 +117,14 @@ def _cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
 def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
+    Phase 1 sweeps the step count upward from `step_lower_bound`, a proven
+    bound, so no probe is spent on a count that bound already rules out.
+    Placement fixing is derived from the instance: when there is a gate
+    between every pair of the hardware's tokens, each solve fixes the
+    middle placement (`add_complete_placement_fixing`), which keeps the
+    optimum, and symmetry anchoring, which could contradict it, is left
+    off.
+
     On a solver timeout the result carries whatever was established, with
     the optimality flags of the missing pieces left False. Each phase's
     entry in `timings` is the wall time of its model builds, solves and
@@ -146,16 +148,13 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         return res
     res.timings["embed"] = time.monotonic() - t0
 
-    fixing = cfg.use_complete_fixing
-    if fixing is None:
-        fixing = inst.algorithm_is_complete() and inst.algorithm.n == inst.hardware.n
+    fixing = inst.algorithm_is_complete() and inst.algorithm.n == inst.hardware.n
     symmetry = cfg.use_hardware_symmetry and not fixing
 
-    t_start = step_lower_bound(inst) if cfg.use_step_lower_bound else 0
     t_cap = inst.hardware.n * inst.hardware.n
     phase1 = 0.0
     attempt = None
-    t = t_start
+    t = step_lower_bound(inst)
     while t <= t_cap:
         t0 = time.monotonic()
         a = solve_min_swaps_at(
@@ -180,7 +179,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     res.mt_optimal = True
     res.ms_at_mt = attempt.swaps
     res.ms_at_mt_optimal = True
-    res.swap_solution = _compacted(attempt.solution)
+    res.swap_solution = attempt.solution.compacted()
 
     floor = _cheaper_swap_floor(inst, res.mt)
     if res.ms_at_mt <= floor:
@@ -207,7 +206,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         add_complete_placement_fixing(model, inst, steps=target)
     step_result = ScipyBackend().solve(model, time_limit=cfg.time_limit)
     if step_result.is_optimal:
-        step_solution = decode_solution(inst, target + 1, step_result)
+        step_solution = decode_solution(inst, step_result, steps=target)
     res.timings["min_swaps_overall"] = time.monotonic() - t0
     if step_result.status == "infeasible":
         res.ms = res.ms_at_mt
@@ -223,19 +222,28 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     res.ms = int(round(step_result.objective))
     res.ms_optimal = True
     res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
-    res.swap_solution = _compacted(step_solution)
+    res.swap_solution = step_solution.compacted()
     return res
 
 
 def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """solve_min_swaps, then pack gates into circuit layers."""
+    """solve_min_swaps, then pack gates into circuit layers.
+
+    When the schedule solve ends without a proven optimum, `schedule` and
+    `routed_circuit` stay None and a note names the solver status.
+    """
     cfg = cfg or PipelineConfig()
     res = solve_min_swaps(inst, cfg)
     if res.swap_solution is None:
         return res
     t0 = time.monotonic()
-    outcome = schedule_circuit(inst, res.swap_solution, time_limit=cfg.time_limit)
-    res.timings["schedule"] = time.monotonic() - t0
+    try:
+        outcome = schedule_circuit(inst, res.swap_solution, time_limit=cfg.time_limit)
+    except ScheduleSolveError as exc:
+        res.notes.append(str(exc))
+        return res
+    finally:
+        res.timings["schedule"] = time.monotonic() - t0
     res.schedule = outcome
     res.routed_circuit = outcome.circuit
     return res

@@ -5,7 +5,7 @@ merged into a swap layer (when both their tokens sit on an unmatched edge)
 or placed into extra gate-only layers inserted right before a swap layer.
 An integer program picks the placement minimizing the number of extra
 layers, under the restriction that a swap matching is never split across
-layers. A first-fit greedy is available as a non-optimal fallback.
+layers.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
     check = validate_swap_solution(inst, sol)
     if not check.valid:
         raise ValueError(f"swap solution invalid: {'; '.join(check.problems)}")
-    compact = SwapSolution(sol.initial, tuple(m for m in sol.matchings if m))
+    compact = sol.compacted()
     placements = placement_trajectory(compact)
     k = len(compact.matchings)
     h = inst.hardware
@@ -199,14 +199,13 @@ def extract_assignment(ctx: ScheduleContext, values: dict[str, float]) -> Assign
     return out
 
 
-def assemble_circuit(inst: TmpInstance, sol: SwapSolution, assignment: Assignment) -> RoutedCircuit:
+def assemble_circuit(ctx: ScheduleContext, assignment: Assignment) -> RoutedCircuit:
     """Materialize layers from a gate -> slot assignment.
 
     Extra layers appear before their swap layer in slot order; slots no
     gate uses are dropped. Gate edges are taken under the placement in
     force at their step.
     """
-    ctx = compute_windows(inst, sol)
     k = ctx.num_steps
     gates = ctx.gates
     by_slot: dict[tuple[int, int], list[int]] = {}
@@ -237,70 +236,34 @@ def assemble_circuit(inst: TmpInstance, sol: SwapSolution, assignment: Assignmen
     return RoutedCircuit(ctx.solution.initial, tuple(layers))
 
 
-def greedy_schedule(ctx: ScheduleContext) -> Assignment:
-    """First-fit: each gate takes the earliest conflict-free slot.
-
-    Not optimal, and with adversarial gate orders it can fail even though
-    the integer program would succeed; raises RuntimeError then.
-    """
-    if ctx.unschedulable:
-        raise ValueError(f"gates without any executable step: {ctx.unschedulable}")
-    gates = ctx.gates
-    taken: dict[tuple[int, int], set[int]] = {}
-    out: Assignment = {}
-    for g in sorted(ctx.windows):
-        w = ctx.windows[g]
-        p, q = gates[g]
-        slots = sorted(
-            [(t, 0) for t in w.swap_layer_steps]
-            + [
-                (t, b)
-                for t in w.empty_layer_steps
-                for b in range(1, ctx.budgets[t - 1] + 1)
-            ]
-        )
-        for slot in slots:
-            used = taken.setdefault(slot, set())
-            if p not in used and q not in used:
-                used.update((p, q))
-                out[g] = slot
-                break
-        else:
-            raise RuntimeError(f"greedy scheduling failed to place gate {g}")
-    return out
+class ScheduleSolveError(RuntimeError):
+    """The layer-assignment solve stopped without a proven optimum."""
 
 
 @dataclass
 class ScheduleOutcome:
     circuit: RoutedCircuit
     extra_layers: int
-    method: str  # "milp" or "greedy"
+    method: str  # "milp", or "direct" when there is no gate to place
     optimal: bool
-    status: str
 
 
 def schedule_circuit(
     inst: TmpInstance,
     sol: SwapSolution,
     time_limit: float | None = None,
-    use_greedy: bool = False,
 ) -> ScheduleOutcome:
-    """Full scheduling pass: windows, solve (or greedy), assemble."""
+    """Full scheduling pass: windows, layer-assignment solve, assemble.
+
+    Raises ScheduleSolveError, naming the solver status, when the solve
+    ends without a proven optimum.
+    """
     ctx = compute_windows(inst, sol)
     if not ctx.windows:
-        circuit = assemble_circuit(inst, sol, {})
-        return ScheduleOutcome(circuit, 0, "direct", True, "optimal")
-    if use_greedy:
-        assignment = greedy_schedule(ctx)
-        circuit = assemble_circuit(inst, sol, assignment)
-        extra = circuit.depth - ctx.num_steps
-        return ScheduleOutcome(circuit, extra, "greedy", False, "feasible")
+        return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct", True)
     model = build_schedule_model(ctx)
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
-        raise RuntimeError(f"schedule solve ended with status {result.status}")
-    assignment = extract_assignment(ctx, result.values)
-    circuit = assemble_circuit(inst, sol, assignment)
-    return ScheduleOutcome(
-        circuit, int(round(result.objective)), "milp", True, result.status
-    )
+        raise ScheduleSolveError(f"schedule solve ended with status {result.status}")
+    circuit = assemble_circuit(ctx, extract_assignment(ctx, result.values))
+    return ScheduleOutcome(circuit, int(round(result.objective)), "milp", True)

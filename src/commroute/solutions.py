@@ -134,6 +134,10 @@ class SwapSolution:
     def swaps(self) -> int:
         return sum(len(m) for m in self.matchings)
 
+    def compacted(self) -> SwapSolution:
+        """The same solution with its empty steps dropped."""
+        return SwapSolution(self.initial, tuple(m for m in self.matchings if m))
+
     def to_dict(self) -> dict:
         return {
             "initial": list(self.initial.pos),

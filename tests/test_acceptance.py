@@ -116,8 +116,8 @@ def test_criterion_02_oracle_milp_equivalence(sweep):
 
 def _feasible_with_fixing(inst, steps):
     """Feasibility-only solve: all-pairs algorithms allow pinning the start."""
-    model = build_variant(inst, steps + 1)
-    add_complete_placement_fixing(model, inst, steps + 1)
+    model = build_variant(inst, steps=steps)
+    add_complete_placement_fixing(model, inst, steps=steps)
     model.set_objective([])
     res = BACKEND.solve(model)
     assert res.status in ("optimal", "infeasible"), res.status
@@ -225,7 +225,7 @@ def test_criterion_08_polytope_exactness():
 
     # aggregated pair model over one step: relaxation already integral
     inst = TmpInstance(path_graph(3), Graph(3, [(0, 1)]))
-    model = build_variant(inst, 1, ModelVariant.PAIR_AGGREGATED)
+    model = build_variant(inst, ModelVariant.PAIR_AGGREGATED, steps=0)
     rng = random.Random(88)
     names = [v.name for v in model.variables]
     for _ in range(1000):
@@ -268,10 +268,10 @@ def test_criterion_09_single_swap_fixed_point(sweep):
 def test_criterion_10_determinism():
     golden = {
         "path4_complete4_T2_pair_mccormick.lp": build_variant(
-            TmpInstance(path_graph(4), complete_graph(4)), 2, ModelVariant.PAIR_MCCORMICK
+            TmpInstance(path_graph(4), complete_graph(4)), ModelVariant.PAIR_MCCORMICK, steps=1
         ),
         "path6_star6_T3_indicator_onesided.lp": build_variant(
-            TmpInstance(path_graph(6), star_graph(6)), 3, ModelVariant.INDICATOR_ONESIDED
+            TmpInstance(path_graph(6), star_graph(6)), ModelVariant.INDICATOR_ONESIDED, steps=2
         ),
         "cycle4_complete4_steps2_swap_step.lp": build_swap_step_model(
             TmpInstance(cycle_graph(4), complete_graph(4)), steps=2

@@ -77,7 +77,7 @@ def test_model_arrays_match_dense_rows():
 def test_model_arrays_memory_stays_sparse():
     # 1,776 vars by 8,400 rows and 0.3 % nonzero: a dense copy alone is 114 MB
     inst = TmpInstance(grid_graph(4, 4), complete_graph(16))
-    model = build_variant(inst, 2, ModelVariant.INDICATOR_ONESIDED)
+    model = build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=1)
     assert (model.num_vars, model.num_constraints) == (1776, 8400)
     tracemalloc.start()
     try:
@@ -90,7 +90,7 @@ def test_model_arrays_memory_stays_sparse():
 
 def test_lp_relaxation_below_integer_optimum():
     inst = TmpInstance(path_graph(3), complete_graph(3))
-    model = build_variant(inst, 2, ModelVariant.PAIR_MCCORMICK)
+    model = build_variant(inst, ModelVariant.PAIR_MCCORMICK, steps=1)
     lp = solve_lp_relaxation(model)
     ip = ScipyBackend().solve(model)
     assert lp.status == "optimal"

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import commroute.scheduler as scheduler
 from commroute.cli import main
 from commroute.graphs import Graph, complete_graph, path_graph, star_graph
+from commroute.milp import SolveResult
 from commroute.solutions import TmpInstance
 
 
@@ -166,6 +168,25 @@ def test_unknown_flag_is_input_error(capsys):
     assert exc.value.code == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["solve", "--no-step-bound"],
+    ["solve", "--fixing", "off"],
+    ["route", "--fixing", "on"],
+    ["schedule", "--greedy"],
+], ids=["no-step-bound", "fixing-off", "fixing-on", "greedy"])
+def test_removed_flags_are_input_errors(capsys, tmp_path, tiny_instance, flags):
+    command, *rest = flags
+    argv = [command, tiny_instance]
+    if command == "schedule":
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
+        argv.append(str(sol))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + rest)
+    assert exc.value.code == 4
+    assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
 def test_timeout_exit_code(capsys, tmp_path):
     inst = TmpInstance(path_graph(6), star_graph(6))
     path = tmp_path / "big.json"
@@ -173,3 +194,17 @@ def test_timeout_exit_code(capsys, tmp_path):
     code, payload, _ = run(capsys, "solve", str(path), "--time-limit", "0.01")
     assert code == 3
     assert not payload["ms_optimal"]
+
+
+def test_route_schedule_timeout_exit_code(capsys, tmp_path, monkeypatch):
+    # gates already adjacent, so the schedule solve is the only solve
+    inst = TmpInstance(path_graph(6), path_graph(6))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    monkeypatch.setattr(scheduler.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("timeout"))
+    code, payload, _ = run(capsys, "route", str(path))
+    assert code == 3
+    assert payload["ms_optimal"]
+    assert payload["routed_circuit"] is None
+    assert "schedule solve ended with status timeout" in payload["notes"]

@@ -36,14 +36,14 @@ def example():
 
 
 def test_base_model_counts():
-    model = build_base(p4k4(), T=3)
+    model = build_base(p4k4(), steps=2)
     # w: 3*4*4, x: 2*4*(n + 2|E|) = 2*4*10
     assert len(model.variables) == 128
     assert len(model.constraints) == 94
 
 
 def test_base_model_is_all_binary():
-    model = build_base(p4k4(), T=2)
+    model = build_base(p4k4(), steps=1)
     assert all(v.is_integer and (v.lb, v.ub) == (0, 1) for v in model.variables)
 
 
@@ -98,8 +98,8 @@ def test_lp_relaxation_ordering():
     # the aggregated reformulation dominates the three-row linearization
     inst = p4k4()
     for T in (2, 3):
-        weak = solve_lp_relaxation(build_variant(inst, T, ModelVariant.PAIR_MCCORMICK))
-        strong = solve_lp_relaxation(build_variant(inst, T, ModelVariant.PAIR_AGGREGATED))
+        weak = solve_lp_relaxation(build_variant(inst, ModelVariant.PAIR_MCCORMICK, steps=T - 1))
+        strong = solve_lp_relaxation(build_variant(inst, ModelVariant.PAIR_AGGREGATED, steps=T - 1))
         assert strong.objective >= weak.objective - 1e-9
 
 
@@ -123,7 +123,7 @@ def test_swap_step_decode():
     inst = example()
     model = build_swap_step_model(inst, steps=3)
     res = BACKEND.solve(model)
-    sol = decode_solution(inst, 4, res)
+    sol = decode_solution(inst, res, steps=3)
     v = validate_swap_solution(inst, sol)
     assert v.valid, v.problems
     assert v.swaps == 3
@@ -152,13 +152,13 @@ def test_symmetry_and_fixing_conflict():
 
 def test_fixing_requires_complete_algorithm():
     inst = example()
-    model = build_variant(inst, 3, ModelVariant.INDICATOR_ONESIDED)
+    model = build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=2)
     with pytest.raises(ValueError):
-        add_complete_placement_fixing(model, inst, 3)
+        add_complete_placement_fixing(model, inst, steps=2)
 
 
 def test_lp_export_round_trip(tmp_path):
-    model = build_variant(p4k4(), 2, ModelVariant.INDICATOR_FULL)
+    model = build_variant(p4k4(), ModelVariant.INDICATOR_FULL, steps=1)
     path = tmp_path / "model.lp"
     export_lp(model, path)
     text = path.read_text()
@@ -167,14 +167,16 @@ def test_lp_export_round_trip(tmp_path):
 
 
 def test_lp_export_deterministic(tmp_path):
-    a = build_variant(example(), 3, ModelVariant.PAIR_AGGREGATED).lp_string()
-    b = build_variant(example(), 3, ModelVariant.PAIR_AGGREGATED).lp_string()
+    a = build_variant(example(), ModelVariant.PAIR_AGGREGATED, steps=2).lp_string()
+    b = build_variant(example(), ModelVariant.PAIR_AGGREGATED, steps=2).lp_string()
     assert a == b
 
 
-def test_resolve_horizon_validation():
+def test_horizon_validation():
+    with pytest.raises(TypeError):
+        build_base(p4k4())  # steps is required
+    with pytest.raises(TypeError):
+        build_base(p4k4(), 2)  # and keyword-only, so a placement count cannot slip in
     with pytest.raises(ValueError):
-        build_base(p4k4())  # neither T nor steps
-    with pytest.raises(ValueError):
-        build_base(p4k4(), T=3, steps=2)
-    assert len(build_base(p4k4(), steps=2).variables) == len(build_base(p4k4(), T=3).variables)
+        build_base(p4k4(), steps=-1)
+    assert len(build_base(p4k4(), steps=2).variables) == 128

@@ -5,9 +5,11 @@ import time
 import pytest
 
 import commroute.milp.models as milp_models
+import commroute.scheduler as scheduler
 
 from commroute.bounds import swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
+from commroute.milp import SolveResult
 from commroute.oracle import oracle_min_steps, oracle_min_swaps, oracle_min_swaps_at
 from commroute.pipeline import (
     PipelineConfig,
@@ -161,6 +163,18 @@ def test_route_example():
     v = validate_routed_circuit(inst, res.routed_circuit)
     assert v.valid, v.problems
     assert res.routed_circuit.swaps == 3
+
+
+def test_route_keeps_the_solve_when_the_schedule_times_out(monkeypatch):
+    # gates already adjacent, so the schedule solve is the only solve
+    inst = TmpInstance(path_graph(6), path_graph(6))
+    monkeypatch.setattr(scheduler.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("timeout"))
+    res = route(inst)
+    assert res.complete
+    assert res.schedule is None and res.routed_circuit is None
+    assert "schedule solve ended with status timeout" in res.notes
+    assert "schedule" in res.timings
 
 
 def test_route_zero_gates():

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from commroute.graphs import Graph, cycle_graph, path_graph, star_graph
+from commroute.graphs import Graph, path_graph, star_graph
 from commroute.milp import solve_min_swaps_at
 from commroute.scheduler import (
     compute_windows,
-    greedy_schedule,
     schedule_circuit,
 )
 from commroute.solutions import (
@@ -77,16 +76,6 @@ def test_example_end_to_end():
     assert out.optimal
 
 
-def test_greedy_validates_and_is_no_better():
-    inst = TmpInstance(path_graph(6), star_graph(6))
-    att = solve_min_swaps_at(inst, steps=3)
-    exact = schedule_circuit(inst, att.solution)
-    greedy = schedule_circuit(inst, att.solution, use_greedy=True)
-    assert validate_routed_circuit(inst, greedy.circuit).valid
-    assert greedy.circuit.depth >= exact.circuit.depth
-    assert not greedy.optimal
-
-
 def test_depth_matches_brute_force_small(rng):
     checked = 0
     while checked < 12:
@@ -106,14 +95,3 @@ def test_depth_matches_brute_force_small(rng):
         assert out.circuit.depth == want, (h.edges, gates, att.solution)
         checked += 1
 
-
-def test_greedy_assignment_covers_every_gate(rng):
-    inst = TmpInstance(cycle_graph(5), Graph(5, [(0, 2), (1, 3)]))
-    att = None
-    for steps in range(4):
-        att = solve_min_swaps_at(inst, steps=steps)
-        if att.status == "optimal":
-            break
-    ctx = compute_windows(inst, att.solution)
-    assignment = greedy_schedule(ctx)
-    assert sorted(assignment) == sorted(ctx.windows)
