@@ -16,6 +16,7 @@ from .constructive import dfs_swap_solve
 from .graphs import Graph
 from .milp.models import ModelVariant
 from .oracle import (
+    DEFAULT_NODE_LIMIT,
     InfeasibleInstanceError,
     oracle_min_steps,
     oracle_min_swaps,
@@ -188,7 +189,6 @@ def cmd_schedule(args) -> int:
         "extra_layers": outcome.extra_layers,
         "depth": outcome.circuit.depth,
         "method": outcome.method,
-        "optimal": outcome.optimal,
     }, args.out)
     return EXIT_OK
 
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--steps", type=int, default=None,
                    help="fix the step count instead of reporting mt/ms")
-    p.add_argument("--node-limit", type=int, default=7)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("solve", help="minimal steps and swaps via MILP")

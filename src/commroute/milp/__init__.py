@@ -1,6 +1,6 @@
 """Integer programming layer: model container, HiGHS solver, builders."""
 
-from .model import MilpModel, Variable, LinearConstraint, export_lp, parse_lp
+from .model import MilpModel, Variable, LinearConstraint, export_lp
 from .backends import (
     SolveResult,
     ScipyBackend,
@@ -24,7 +24,6 @@ __all__ = [
     "Variable",
     "LinearConstraint",
     "export_lp",
-    "parse_lp",
     "SolveResult",
     "ScipyBackend",
     "solve_lp_relaxation",

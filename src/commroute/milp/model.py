@@ -1,4 +1,4 @@
-"""Generic mixed-integer linear model container with LP text round-trip.
+"""Generic mixed-integer linear model container with deterministic LP export.
 
 The container is solver-agnostic: builders declare variables and rows, and
 the backends module assembles them into sparse arrays for a HiGHS solve
@@ -142,69 +142,3 @@ def export_lp(model: MilpModel, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(model.lp_string())
 
-
-_TERM_RE = re.compile(r"([+-])?\s*(\d+(?:\.\d+)?(?:e-?\d+)?)\s+([A-Za-z][A-Za-z0-9_]*)")
-
-
-def _parse_terms(text: str) -> list[tuple[str, float]]:
-    out = []
-    for sign, mag, name in _TERM_RE.findall(text):
-        out.append((name, float(mag) * (-1.0 if sign == "-" else 1.0)))
-    return out
-
-
-def parse_lp(text: str) -> MilpModel:
-    """Rebuild a model from LP text produced by lp_string (round-trip only).
-
-    Variable order is recovered from the Bounds section, which lp_string
-    always emits in full.
-    """
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("\\ "):
-        raise ValueError("missing model header comment")
-    model = MilpModel(name=lines[0][2:])
-    section = None
-    pending: list[tuple[str, str]] = []  # constraint name, body text
-    obj_text = ""
-    bounds: list[tuple[str, float, float]] = []
-    binaries: set[str] = set()
-    for ln in lines[1:]:
-        stripped = ln.strip()
-        if stripped in ("Minimize", "Maximize", "Subject To", "Bounds", "Binaries", "End"):
-            section = stripped
-            if stripped in ("Minimize", "Maximize"):
-                model.minimize = stripped == "Minimize"
-            continue
-        if not stripped:
-            continue
-        if section in ("Minimize", "Maximize"):
-            if not stripped.startswith("obj:"):
-                raise ValueError(f"unexpected objective line {ln!r}")
-            obj_text = stripped[4:]
-        elif section == "Subject To":
-            cname, body = stripped.split(":", 1)
-            pending.append((cname.strip(), body.strip()))
-        elif section == "Bounds":
-            if "<=" in stripped:
-                lo, name, hi = (p.strip() for p in stripped.split("<="))
-                bounds.append((name, float(lo), float(hi)))
-            else:
-                name, val = (p.strip() for p in stripped.split("="))
-                bounds.append((name, float(val), float(val)))
-        elif section == "Binaries":
-            binaries.add(stripped)
-        else:
-            raise ValueError(f"line outside any section: {ln!r}")
-    for name, lo, hi in bounds:
-        model.add_var(name, lb=lo, ub=hi, integer=name in binaries)
-    for cname, body in pending:
-        for sym, sense in ((" <= ", "<="), (" >= ", ">="), (" = ", "==")):
-            if sym in body:
-                lhs, rhs = body.rsplit(sym, 1)
-                model.add_constr(cname, _parse_terms(lhs), sense, float(rhs))
-                break
-        else:
-            raise ValueError(f"constraint without relation: {body!r}")
-    if obj_text:
-        model.set_objective(_parse_terms(obj_text), minimize=model.minimize)
-    return model

@@ -3,25 +3,23 @@
 Ground truth the optimization models are tested against. Exact but
 exponential: instances above the node limit are refused outright.
 
-This module reduces the start placements and prepares the instance tables;
-the search itself runs in the kernel module _search_py, where a state is a
-placement tuple together with the mask of connections it has covered. The
-kernel functions are looked up on that module at every call, so a wrapper
-installed on _search_py (a profiler or tracer) sees every search.
+This module prepares the instance tables and the embedding test; the
+search itself runs once, from the identity placement, in the kernel module
+_search_py, whose docstring proves why that one search covers every start
+placement. The kernel functions are looked up on that module at every
+call, so a wrapper installed on _search_py (a profiler or tracer) sees
+every search.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from . import _search_py
 from .bounds import max_gain_per_step, max_gain_per_swap
-from .graphs import Graph, all_matchings, automorphisms
+from .graphs import Graph, all_matchings
+from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solutions import TmpInstance, is_subgraph_placement
 
 DEFAULT_NODE_LIMIT = 7
-_REDUCTION_WORK_CAP = 2_000_000
 
 
 class SizeLimitError(ValueError):
@@ -41,12 +39,15 @@ def _check_size(inst: TmpInstance, node_limit: int) -> None:
 
 
 def _prepared(inst: TmpInstance):
+    """The kernel arguments both searches share, in kernel order: node count,
+    the identity start, matchings, hardware edges, label-pair table, gate
+    count and the embedding test on pair masks."""
     n = inst.num_nodes
-    conns = inst.connections
-    conn_bit = [-1] * (n * n)
-    for b, (p, q) in enumerate(conns):
-        conn_bit[p * n + q] = b
-        conn_bit[q * n + p] = b
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pair_bit = [0] * (n * n)
+    for bit, (a, b) in enumerate(pairs):
+        pair_bit[a * n + b] = bit
+        pair_bit[b * n + a] = bit
     hw_edges: list[int] = []
     for u, v in inst.hardware.edges:
         hw_edges.extend((u, v))
@@ -54,29 +55,12 @@ def _prepared(inst: TmpInstance):
         [x for e in m for x in e]
         for m in all_matchings(inst.hardware, include_empty=False)
     ]
-    full_mask = (1 << len(conns)) - 1
-    return n, conn_bit, hw_edges, matchings, full_mask
 
+    def embeds(mask: int) -> bool:
+        seen = Graph(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
+        return is_subgraph_placement(TmpInstance(seen, inst.algorithm)) is not None
 
-def _initial_placements(inst: TmpInstance) -> list[tuple[int, ...]]:
-    """All starting tok_at arrays, reduced up to automorphisms of the algorithm.
-
-    Relabeling tokens by an algorithm automorphism maps solutions to
-    solutions with identical matchings, so one representative per orbit
-    of the right-composition action is enough.
-    """
-    n = inst.num_tokens
-    if inst.algorithm_is_complete():
-        return [tuple(range(n))]
-    padded = Graph(n, inst.algorithm.edges)
-    auts = automorphisms(padded)
-    if len(auts) <= 1 or math.factorial(n) * len(auts) > _REDUCTION_WORK_CAP:
-        return [tuple(p) for p in itertools.permutations(range(n))]
-    reps = {
-        min(tuple(sigma[t] for t in tok_at) for sigma in auts)
-        for tok_at in itertools.permutations(range(n))
-    }
-    return sorted(reps)
+    return n, [tuple(range(n))], matchings, hw_edges, pair_bit, len(inst.connections), embeds
 
 
 def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
@@ -84,9 +68,7 @@ def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
     _check_size(inst, node_limit)
     if not inst.connections or is_subgraph_placement(inst) is not None:
         return 0
-    n, conn_bit, hw_edges, matchings, full_mask = _prepared(inst)
-    starts = _initial_placements(inst)
-    result = _search_py.min_steps(n, starts, matchings, hw_edges, conn_bit, full_mask, n * n * n)
+    result = _search_py.min_steps(*_prepared(inst), inst.num_nodes ** 3)
     if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
     return result
@@ -101,11 +83,9 @@ def oracle_min_swaps_at(
         raise ValueError("steps must be nonnegative")
     if not inst.connections:
         return 0
-    n, conn_bit, hw_edges, matchings, full_mask = _prepared(inst)
-    starts = _initial_placements(inst)
     result = _search_py.min_swaps_within(
-        n, starts, matchings, hw_edges, conn_bit, full_mask,
-        steps, max_gain_per_swap(inst.hardware), max_gain_per_step(inst.hardware),
+        *_prepared(inst), steps,
+        max_gain_per_swap(inst.hardware), max_gain_per_step(inst.hardware),
     )
     return None if result < 0 else result
 

@@ -245,7 +245,6 @@ class ScheduleOutcome:
     circuit: RoutedCircuit
     extra_layers: int
     method: str  # "milp", or "direct" when there is no gate to place
-    optimal: bool
 
 
 def schedule_circuit(
@@ -260,10 +259,10 @@ def schedule_circuit(
     """
     ctx = compute_windows(inst, sol)
     if not ctx.windows:
-        return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct", True)
+        return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct")
     model = build_schedule_model(ctx)
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         raise ScheduleSolveError(f"schedule solve ended with status {result.status}")
     circuit = assemble_circuit(ctx, extract_assignment(ctx, result.values))
-    return ScheduleOutcome(circuit, int(round(result.objective)), "milp", True)
+    return ScheduleOutcome(circuit, int(round(result.objective)), "milp")

@@ -10,8 +10,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from commroute.graphs import Graph
+from commroute.graphs import Graph, all_matchings, path_graph, star_graph
+from commroute.milp import solve_min_swaps_at
 from commroute.scheduler import compute_windows
+from commroute.solutions import TmpInstance
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,54 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# routing brute force
+
+def brute_swaps_within(inst, max_steps: int) -> list[int | None]:
+    """Fewest swaps that realize every gate within t steps, for t = 0 .. max_steps.
+
+    Exhaustive in the absolute frame, independent of the oracle's relative
+    frame: every start placement of the tokens, dummies included, then
+    every sequence of matchings (the empty one stands for an idle step). A state is (token on
+    each node, gates realized so far). Entry t is None when no start and
+    sequence of t steps realizes every gate.
+    """
+    gate_bit = {frozenset(e): b for b, e in enumerate(inst.connections)}
+    full = (1 << len(gate_bit)) - 1
+    edges = inst.hardware.edges
+    matchings = all_matchings(inst.hardware)
+
+    def realized(tok_at) -> int:
+        mask = 0
+        for u, v in edges:
+            b = gate_bit.get(frozenset((tok_at[u], tok_at[v])))
+            if b is not None:
+                mask |= 1 << b
+        return mask
+
+    layer = {(p, realized(p)): 0 for p in itertools.permutations(range(inst.num_nodes))}
+    best: list[int | None] = []
+    while True:
+        best.append(min((g for (_, m), g in layer.items() if m == full), default=None))
+        if len(best) > max_steps:
+            return best
+        nxt: dict = {}
+        for (tok, mask), g in layer.items():
+            for m in matchings:
+                t2 = list(tok)
+                for u, v in m:
+                    t2[u], t2[v] = t2[v], t2[u]
+                t2 = tuple(t2)
+                key = (t2, mask | realized(t2))
+                cost = g + len(m)
+                if cost < nxt.get(key, cost + 1):
+                    nxt[key] = cost
+        if best[-1] is None and nxt.keys() == layer.keys():
+            # no new state and none complete: no longer horizon helps
+            return best + [None] * (max_steps + 1 - len(best))
+        layer = nxt
+
+
+# ---------------------------------------------------------------------------
 # scheduling brute force
 
 def brute_min_depth(inst, sol) -> int | None:
@@ -172,6 +222,14 @@ def parallel_map(fn, *iterables) -> list:
         return list(map(fn, *iterables))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, *iterables))
+
+
+@pytest.fixture(scope="session")
+def example_at_three_steps():
+    """The worked example path6 / star6 solved at 3 steps: one slow solve
+    shared by every test that reads it."""
+    inst = TmpInstance(path_graph(6), star_graph(6))
+    return inst, solve_min_swaps_at(inst, steps=3)
 
 
 @pytest.fixture

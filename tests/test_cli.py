@@ -116,7 +116,6 @@ def test_schedule(capsys, tmp_path, tiny_instance):
     sol.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
     code, payload, _ = run(capsys, "schedule", tiny_instance, str(sol))
     assert code == 0
-    assert payload["optimal"]
     assert payload["depth"] >= 1
 
 

@@ -14,8 +14,6 @@ from commroute.milp import (
     build_swap_step_model,
     build_variant,
     decode_solution,
-    export_lp,
-    parse_lp,
     solve_lp_relaxation,
     solve_min_swaps_at,
 )
@@ -60,8 +58,8 @@ def test_variants_agree_on_example(variant):
     assert att.swaps == 4
 
 
-def test_example_at_three_steps():
-    att = solve_min_swaps_at(example(), steps=3)
+def test_example_at_three_steps(example_at_three_steps):
+    _, att = example_at_three_steps
     assert att.swaps == 3
     v = validate_swap_solution(example(), att.solution)
     assert v.valid, v.problems
@@ -155,15 +153,6 @@ def test_fixing_requires_complete_algorithm():
     model = build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=2)
     with pytest.raises(ValueError):
         add_complete_placement_fixing(model, inst, steps=2)
-
-
-def test_lp_export_round_trip(tmp_path):
-    model = build_variant(p4k4(), ModelVariant.INDICATOR_FULL, steps=1)
-    path = tmp_path / "model.lp"
-    export_lp(model, path)
-    text = path.read_text()
-    parsed = parse_lp(text)
-    assert parsed.lp_string() == text
 
 
 def test_lp_export_deterministic(tmp_path):
