@@ -47,11 +47,33 @@ swap_capacity) is an admissible A* heuristic and states that cannot gain
 gates - |U| pairs in the remaining steps are pruned. The state space is
 finite and dominance only drops states, so an infeasible input ends with
 an exhausted frontier.
+
+Budget. Both searches take an optional budget, a cap on their work: the
+successors they generate plus the work the embedding tests report. Work
+is never time, so a budgeted run stops at the same point on every run.
+A search that runs out returns a proven lower bound instead of the
+optimum. Breadth-first, every layer before the one being generated has
+been checked, so no solution has fewer steps than that layer's depth. In
+A*, some open state lies on an optimal sequence or dominates a state that
+does, and its f = g + h is at most the optimum because h is admissible
+and a superset mask has fewer missing pairs; so the smallest f on the
+heap, the f of the state about to be expanded, is a lower bound.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
+from typing import NamedTuple
+
+
+class Outcome(NamedTuple):
+    """A search's answer: the optimum, or -1 when none exists; when the
+    budget ran out first (exact False), a proven lower bound instead."""
+
+    value: int
+    exact: bool
+    work: int  # successors generated plus embedding-test work
 
 
 def _coverage(tok_at, hw_edges, pair_bit, n: int) -> int:
@@ -62,16 +84,24 @@ def _coverage(tok_at, hw_edges, pair_bit, n: int) -> int:
 
 
 def _goal_test(num_gates: int, embeds):
-    """The memoised test "the gate graph embeds into U" for a pair mask U."""
+    """The memoised test "the gate graph embeds into U" for a pair mask U.
+
+    reached(mask, limit) returns (answer, work): answer is None when the
+    embedding test gave up after `limit` units of work, and work is what
+    the call spent (0 on a memo hit or a mask too small to hold the gates).
+    """
     memo: dict[int, bool] = {}
 
-    def reached(mask: int) -> bool:
+    def reached(mask: int, limit: float) -> tuple[bool | None, int]:
         if mask.bit_count() < num_gates:
-            return False
+            return False, 0
         hit = memo.get(mask)
-        if hit is None:
-            hit = memo[mask] = embeds(mask)
-        return hit
+        if hit is not None:
+            return hit, 0
+        hit, work = embeds(mask, limit)
+        if hit is not None:
+            memo[mask] = hit
+        return hit, work
 
     return reached
 
@@ -86,27 +116,37 @@ def _push_mask(masks: list[int], c: int) -> bool:
     return True
 
 
-def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, max_depth):
+def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budget=inf):
     """Fewest swap steps until the gate graph embeds into U.
 
-    Returns -1 when the search space is exhausted (or max_depth exceeded)
-    without reaching the goal.
+    The value is -1 when the search space is exhausted without reaching the
+    goal. No depth limit is needed: every admitted state enlarges the
+    down-closed set of masks kept for its placement, which can happen only
+    finitely often.
     """
+    work = 0
     reached = _goal_test(num_gates, embeds)
     visited: dict[tuple[int, ...], list[int]] = {}
     frontier: list[tuple[list[int], int]] = []
     for s in starts:
         tok = list(s)
         c = _coverage(tok, hw_edges, pair_bit, n)
-        if reached(c):
-            return 0
+        hit, spent = reached(c, budget - work)
+        work += spent
+        if hit is None:
+            return Outcome(0, False, work)
+        if hit:
+            return Outcome(0, True, work)
         if _push_mask(visited.setdefault(tuple(s), []), c):
             frontier.append((tok, c))
     depth = 0
-    while frontier and depth < max_depth:
+    while frontier:
         depth += 1
         nxt: list[tuple[list[int], int]] = []
         for tok, cov in frontier:
+            if work + len(matchings) > budget:
+                return Outcome(depth, False, work)
+            work += len(matchings)
             for m in matchings:
                 t2 = tok.copy()
                 for k in range(0, len(m), 2):
@@ -114,23 +154,29 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, max_d
                     t2[u], t2[v] = t2[v], t2[u]
                 c2 = cov | _coverage(t2, hw_edges, pair_bit, n)
                 # an unchanged U already failed the test at its parent
-                if c2 != cov and reached(c2):
-                    return depth
+                if c2 != cov:
+                    hit, spent = reached(c2, budget - work)
+                    work += spent
+                    if hit is None:
+                        return Outcome(depth, False, work)
+                    if hit:
+                        return Outcome(depth, True, work)
                 if _push_mask(visited.setdefault(tuple(t2), []), c2):
                     nxt.append((t2, c2))
         frontier = nxt
-    return -1
+    return Outcome(-1, True, work)
 
 
 def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds,
-                     max_steps, swap_capacity, step_capacity):
-    """Fewest swaps over sequences of at most max_steps steps whose U holds
-    the gate graph; -1 if none.
+                     max_steps, swap_capacity, step_capacity, budget=inf, max_swaps=inf):
+    """Fewest swaps over sequences of at most max_steps steps (and at most
+    max_swaps swaps) whose U holds the gate graph; -1 if none.
 
     swap_capacity bounds how many new pairs one swap can add to U and feeds
     an admissible A* heuristic; step_capacity does the same per step and
-    prunes states that cannot finish in the remaining budget.
+    prunes states that cannot finish in the remaining steps.
     """
+    work = 0
     reached = _goal_test(num_gates, embeds)
     sizes = [len(m) // 2 for m in matchings]
     visited: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
@@ -170,10 +216,19 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
             counter += 1
     while heap:
         f, g, steps, _, tok, cov = heapq.heappop(heap)
-        if reached(cov):
-            return g
+        if f > max_swaps:
+            break
+        hit, spent = reached(cov, budget - work)
+        work += spent
+        if hit is None:
+            return Outcome(f, False, work)
+        if hit:
+            return Outcome(g, True, work)
         if steps >= max_steps:
             continue
+        if work + len(matchings) > budget:
+            return Outcome(f, False, work)
+        work += len(matchings)
         for mi, m in enumerate(matchings):
             t2 = list(tok)
             for k in range(0, len(m), 2):
@@ -192,4 +247,4 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
             if admit(key, c2, s2, g2):
                 heapq.heappush(heap, (g2 + h, g2, s2, counter, key, c2))
                 counter += 1
-    return -1
+    return Outcome(-1, True, work)

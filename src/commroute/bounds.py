@@ -63,6 +63,29 @@ def step_lower_bound(inst: TmpInstance) -> int:
     return _deficit_bound(inst, max_gain_per_step(inst.hardware), "swap step")
 
 
+def cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
+    """Fewest swaps any solution cheaper than the best mt-step one can have.
+
+    The serialization lemma. Take any solution with s swaps and perform its
+    swaps one at a time: the placements it visits are a superset of the
+    original ones, so coverage only grows and the result is a solution with
+    s single-swap steps. Let ms be the overall swap optimum and ms_at_mt
+    the optimum within the fewest steps mt. If s <= mt, padding the
+    serialized solution with empty steps gives an mt-step solution with s
+    swaps, so ms_at_mt <= s. As ms <= ms_at_mt by definition, ms ==
+    ms_at_mt or ms >= mt + 1; and ms >= swap_lower_bound(inst) always. A
+    solution with fewer than ms_at_mt swaps therefore has at least
+    max(mt + 1, swap_lower_bound(inst)) of them, and ms_at_mt is the overall
+    optimum whenever it does not exceed that floor.
+
+    The lemma also bounds the steps such a solution needs: serialized, it
+    has s <= ms_at_mt - 1 single-swap steps, at least `floor` of them
+    nonempty. A search or model over ms_at_mt - 1 steps therefore sees
+    every cheaper solution.
+    """
+    return max(mt + 1, swap_lower_bound(inst))
+
+
 def swap_upper_bound(inst: TmpInstance, min_steps: int) -> int:
     """Given the optimal step count, floor(n/2) swaps per step suffice."""
     return (inst.num_nodes // 2) * min_steps

@@ -150,11 +150,15 @@ def cmd_oracle(args) -> int:
         raise InputError(str(exc)) from exc
 
 
-def _run_pipeline(args, runner) -> PipelineResult:
+def _run_pipeline(args, runner) -> PipelineResult | None:
+    """The runner's result, emitted; None when the instance has no solution."""
     inst = _load_instance(args.instance)
     cfg = _config_from(args)
     try:
         res = runner(inst, cfg)
+    except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
+        _emit({"error": str(exc)}, args.out)
+        return None
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(res.to_dict(), args.out)
@@ -163,11 +167,15 @@ def _run_pipeline(args, runner) -> PipelineResult:
 
 def cmd_solve(args) -> int:
     res = _run_pipeline(args, solve_min_swaps)
+    if res is None:
+        return EXIT_INFEASIBLE
     return EXIT_OK if res.complete else EXIT_PARTIAL
 
 
 def cmd_route(args) -> int:
     res = _run_pipeline(args, route)
+    if res is None:
+        return EXIT_INFEASIBLE
     return EXIT_OK if res.complete and res.routed_circuit is not None else EXIT_PARTIAL
 
 

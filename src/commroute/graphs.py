@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -166,27 +167,30 @@ def spider_graph(m: int) -> Graph:
     return Graph(m * m + 1, tuple(edges))
 
 
-def all_matchings(g: Graph, include_empty: bool = True) -> list[tuple[tuple[int, int], ...]]:
-    """Every matching of g (sets of pairwise disjoint edges), deterministic order."""
-    out: list[tuple[tuple[int, int], ...]] = []
+def iter_matchings(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every matching of g (sets of pairwise disjoint edges), the empty one
+    first, lazily and in a deterministic order, so a caller can stop early."""
     edges = g.edges
 
     def extend(start: int, used: set[int], acc: list[tuple[int, int]]):
-        out.append(tuple(acc))
+        yield tuple(acc)
         for k in range(start, len(edges)):
             u, v = edges[k]
             if u in used or v in used:
                 continue
             acc.append(edges[k])
             used.update((u, v))
-            extend(k + 1, used, acc)
+            yield from extend(k + 1, used, acc)
             acc.pop()
             used.difference_update((u, v))
 
-    extend(0, set(), [])
-    if not include_empty:
-        out = [m for m in out if m]
-    return out
+    return extend(0, set(), [])
+
+
+def all_matchings(g: Graph, include_empty: bool = True) -> list[tuple[tuple[int, int], ...]]:
+    """Every matching of g (sets of pairwise disjoint edges), deterministic order."""
+    out = list(iter_matchings(g))
+    return out if include_empty else out[1:]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

@@ -3,21 +3,26 @@
 Ground truth the optimization models are tested against. Exact but
 exponential: instances above the node limit are refused outright.
 
-This module prepares the instance tables and the embedding test; the
-search itself runs once, from the identity placement, in the kernel module
-_search_py, whose docstring proves why that one search covers every start
-placement. The kernel functions are looked up on that module at every
-call, so a wrapper installed on _search_py (a profiler or tracer) sees
-every search.
+`RelativeFrameSearch` prepares the instance tables and the embedding test
+and runs the searches, optionally under a work budget, which is how the
+pipeline uses it. The search itself runs once, from the identity
+placement, in the kernel module _search_py, whose docstring proves why
+that one search covers every start placement. The kernel functions are
+looked up on that module at every call, so a wrapper installed on
+_search_py (a profiler or tracer) sees every search.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from math import inf
+
 from . import _search_py
-from .bounds import max_gain_per_step, max_gain_per_swap
-from .graphs import Graph, all_matchings
+from ._search_py import Outcome
+from .bounds import cheaper_swap_floor, max_gain_per_step, max_gain_per_swap
+from .graphs import Graph, iter_matchings
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .solutions import TmpInstance, is_subgraph_placement
+from .solutions import TmpInstance, embed_within, is_subgraph_placement
 
 DEFAULT_NODE_LIMIT = 7
 
@@ -38,29 +43,89 @@ def _check_size(inst: TmpInstance, node_limit: int) -> None:
         )
 
 
-def _prepared(inst: TmpInstance):
-    """The kernel arguments both searches share, in kernel order: node count,
-    the identity start, matchings, hardware edges, label-pair table, gate
-    count and the embedding test on pair masks."""
-    n = inst.num_nodes
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    pair_bit = [0] * (n * n)
-    for bit, (a, b) in enumerate(pairs):
-        pair_bit[a * n + b] = bit
-        pair_bit[b * n + a] = bit
-    hw_edges: list[int] = []
-    for u, v in inst.hardware.edges:
-        hw_edges.extend((u, v))
-    matchings = [
-        [x for e in m for x in e]
-        for m in all_matchings(inst.hardware, include_empty=False)
-    ]
+class RelativeFrameSearch:
+    """The kernel's two searches on one instance, under one work budget.
 
-    def embeds(mask: int) -> bool:
-        seen = Graph(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
-        return is_subgraph_placement(TmpInstance(seen, inst.algorithm)) is not None
+    Work counts the hardware matchings enumerated, the successors the
+    searches generate, and for each embedding test the label pairs it
+    copies plus its backtracking steps. It never counts time, so a
+    budgeted run stops at the same point on every run and machine. With no
+    budget every answer is exact; once the budget is spent, each query
+    returns an inexact Outcome whose value is a proven lower bound (0 when
+    the query could not start).
+    """
 
-    return n, [tuple(range(n))], matchings, hw_edges, pair_bit, len(inst.connections), embeds
+    def __init__(self, inst: TmpInstance, budget: int | None = None):
+        self.inst = inst
+        self.left = inf if budget is None else budget
+        self.work = 0
+        n = inst.num_nodes
+        # the number of matchings grows exponentially with the hardware, so the
+        # enumeration stops as soon as it would exceed the budget
+        stop = None if budget is None else budget + 2
+        found = list(islice(iter_matchings(inst.hardware), 1, stop))  # skip the empty one
+        self._charge(len(found))
+        if self.left < 0:
+            self._args = None
+            return
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        pair_bit = [0] * (n * n)
+        for bit, (a, b) in enumerate(pairs):
+            pair_bit[a * n + b] = bit
+            pair_bit[b * n + a] = bit
+        hw_edges = [x for e in inst.hardware.edges for x in e]
+        matchings = [[x for e in m for x in e] for m in found]
+
+        def embeds(mask: int, limit: float) -> tuple[bool | None, int]:
+            # one unit per pair copied into the graph plus one per backtracking
+            # step; embed_within may take one step past its limit
+            size = mask.bit_count()
+            if size >= limit:
+                return None, 0
+            seen = Graph(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
+            image, steps = embed_within(inst.algorithm, seen, limit - size - 1)
+            if image is None and steps > limit - size - 1:
+                return None, size + steps
+            return image is not None, size + steps
+
+        # in kernel order: node count, the identity start, matchings, hardware
+        # edges, label-pair table, gate count and the embedding test
+        self._args = (n, [tuple(range(n))], matchings, hw_edges, pair_bit,
+                      len(inst.connections), embeds)
+
+    def _charge(self, work: int) -> None:
+        self.work += work
+        self.left -= work
+
+    def min_steps(self) -> Outcome:
+        """Fewest swap steps (breadth-first); -1 if no solution exists."""
+        if self._args is None:
+            return Outcome(0, False, 0)
+        out = _search_py.min_steps(*self._args, budget=self.left)
+        self._charge(out.work)
+        return out
+
+    def min_swaps_within(self, steps: int, max_swaps: float = inf) -> Outcome:
+        """Fewest swaps within `steps` steps (A*), counting only solutions with
+        at most max_swaps swaps; -1 if none."""
+        if self._args is None:
+            return Outcome(0, False, 0)
+        hw = self.inst.hardware
+        out = _search_py.min_swaps_within(
+            *self._args, steps, max_gain_per_swap(hw), max_gain_per_step(hw),
+            budget=self.left, max_swaps=max_swaps,
+        )
+        self._charge(out.work)
+        return out
+
+    def cheaper_swaps(self, ms_at_mt: int) -> Outcome:
+        """Fewest swaps of any solution with fewer than ms_at_mt swaps, at
+        any step count; -1 if none, which makes ms_at_mt the overall optimum.
+
+        Such a solution serializes into at most ms_at_mt - 1 single-swap
+        steps (`cheaper_swap_floor`), so one bounded A* sees them all.
+        """
+        return self.min_swaps_within(ms_at_mt - 1, max_swaps=ms_at_mt - 1)
 
 
 def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
@@ -68,7 +133,7 @@ def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
     _check_size(inst, node_limit)
     if not inst.connections or is_subgraph_placement(inst) is not None:
         return 0
-    result = _search_py.min_steps(*_prepared(inst), inst.num_nodes ** 3)
+    result = RelativeFrameSearch(inst).min_steps().value
     if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
     return result
@@ -83,25 +148,24 @@ def oracle_min_swaps_at(
         raise ValueError("steps must be nonnegative")
     if not inst.connections:
         return 0
-    result = _search_py.min_swaps_within(
-        *_prepared(inst), steps,
-        max_gain_per_swap(inst.hardware), max_gain_per_step(inst.hardware),
-    )
+    result = RelativeFrameSearch(inst).min_swaps_within(steps).value
     return None if result < 0 else result
 
 
 def oracle_min_swaps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
     """Fewest swaps over all solutions regardless of step count.
 
-    Sweeps the step budget upward from the step optimum; the swap optimum at
-    budget t can only shrink as t grows and meets t exactly once, at the
-    overall optimum, which makes the first t with optimum == t the answer.
+    The optimum within the fewest steps, ms_at_mt, is the answer unless a
+    cheaper solution exists, which `RelativeFrameSearch.cheaper_swaps`
+    decides; `cheaper_swap_floor` settles it without a search when ms_at_mt
+    does not exceed that floor.
     """
-    t = oracle_min_steps(inst, node_limit)
-    while True:
-        ms = oracle_min_swaps_at(inst, t, node_limit)
-        if ms is None:
-            raise InfeasibleInstanceError("no swap sequence realizes every connection")
-        if ms == t:
-            return ms
-        t += 1
+    mt = oracle_min_steps(inst, node_limit)
+    if mt == 0:
+        return 0
+    search = RelativeFrameSearch(inst)
+    ms_at_mt = search.min_swaps_within(mt).value
+    if ms_at_mt <= cheaper_swap_floor(inst, mt):
+        return ms_at_mt
+    cheaper = search.cheaper_swaps(ms_at_mt).value
+    return ms_at_mt if cheaper < 0 else cheaper

@@ -1,18 +1,25 @@
 """End-to-end orchestration: optimal swap counts, routing, instance generation.
 
-The swap-optimal pipeline runs three phases:
+The swap-optimal pipeline settles three numbers: the minimal step count
+mt, the minimal swap count within mt steps ms_at_mt, and the overall
+minimal swap count ms.
 
-1. solve the gate-coverage program over t steps for increasing t until it
-   turns feasible; that first t is the minimal step count, and the solve
-   already minimizes swaps there;
-2. (free with 1) record the minimal swap count within minimal steps;
-3. settle the overall swap optimum. A proven floor on any cheaper solution
-   (see `_cheaper_swap_floor`) certifies the phase-2 count outright when
-   that count does not exceed the floor, and no model is built. Otherwise
-   the one-swap-per-step program is solved at a horizon one below the
-   phase-2 count with its first `floor` steps pinned active:
-   infeasibility certifies the phase-2 count as the overall optimum,
-   feasibility hands back the true optimum directly.
+0. An embedding check answers 0 for all three when the gates already sit
+   on hardware edges under some placement.
+1. The relative-frame search (`oracle.RelativeFrameSearch`) runs under a
+   fixed work budget. Breadth-first it finds mt; A* at mt finds ms_at_mt;
+   and unless `cheaper_swap_floor` already certifies ms = ms_at_mt, one
+   more A* over ms_at_mt - 1 steps decides whether a cheaper solution
+   exists. HiGHS is then asked for one witness: the gate-coverage
+   program at mt steps with its swaps capped at ms_at_mt or, for a
+   cheaper optimum s, the one-swap-per-step program at s steps with every
+   step pinned active.
+2. Whatever the budget leaves open, HiGHS proves as before: it solves the
+   gate-coverage program for increasing t, from the first layer the
+   search did not finish, until it turns feasible, which gives mt and ms_at_mt;
+   and it solves the one-swap-per-step program one step below ms_at_mt
+   with its first `cheaper_swap_floor` steps pinned active, where
+   infeasibility certifies ms = ms_at_mt and feasibility gives ms.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from math import ceil
 
-from .bounds import step_lower_bound, swap_lower_bound
+from .bounds import cheaper_swap_floor, step_lower_bound
 from .graphs import Graph, bridged_cycles_graph, grid_graph
 from .milp.backends import ScipyBackend
 from .milp.models import (
@@ -31,6 +38,7 @@ from .milp.models import (
     decode_solution,
     solve_min_swaps_at,
 )
+from .oracle import InfeasibleInstanceError, RelativeFrameSearch
 from .scheduler import ScheduleOutcome, ScheduleSolveError, schedule_circuit
 from .solutions import (
     RoutedCircuit,
@@ -39,6 +47,14 @@ from .solutions import (
     TokenPlacement,
     is_subgraph_placement,
 )
+
+# Work the relative-frame search may spend per solve: hardware matchings
+# enumerated, successors generated and embedding-test steps
+# (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
+# budgeted run repeat exactly. Spending all 100,000 units took 0.2-0.55 s
+# on grid3x3 / K9, grid4x4 and path8 / K8 (2 cores), while the bench
+# instances need at most about 15,000.
+SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {
     "grid3x3": lambda: grid_graph(3, 3),
@@ -90,51 +106,40 @@ class PipelineResult:
         }
 
 
-def _cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
-    """Fewest swaps any solution cheaper than the phase-2 one can have.
-
-    Let ms be the overall swap optimum and ms_at_mt the optimum within mt
-    steps. Take any solution with s swaps and perform its swaps one at a
-    time: the placements it visits are a superset of the original ones, so
-    coverage only grows and the result is a solution with s single-swap
-    steps. If s <= mt, padding it with empty steps gives an mt-step
-    solution with s swaps, so ms_at_mt <= s. As ms <= ms_at_mt by
-    definition, ms == ms_at_mt or ms >= mt + 1; and ms >=
-    swap_lower_bound(inst) always. A solution with
-    fewer than ms_at_mt swaps therefore has at least
-    max(mt + 1, swap_lower_bound(inst)) of them, and ms_at_mt is the
-    overall optimum whenever it does not exceed that floor.
-
-    In the one-swap-per-step model, every such solution, serialized as
-    above, activates at least `floor` steps, and steps_ordered makes the
-    active steps a prefix; so s_t1 .. s_t{floor} may be fixed to 1.
-    Symmetry anchoring and placement fixing only relabel nodes or tokens,
-    which keeps the active steps, so the pinning holds with either.
-    """
-    return max(mt + 1, swap_lower_bound(inst))
-
-
 def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
-    Phase 1 sweeps the step count upward from `step_lower_bound`, a proven
-    bound, so no probe is spent on a count that bound already rules out.
-    Placement fixing is derived from the instance: when there is a gate
-    between every pair of the hardware's tokens, each solve fixes the
-    middle placement (`add_complete_placement_fixing`), which keeps the
-    optimum, and symmetry anchoring, which could contradict it, is left
-    off.
+    The relative-frame search runs first, under SEARCH_BUDGET. What it
+    settles HiGHS only has to witness, with one solve: the phase-2 model
+    capped at the proven swap count with a zero objective or, for a
+    cheaper overall optimum s, the one-swap-per-step model at s steps with
+    every step pinned active. A witness solve that finds nothing
+    contradicts the search and raises RuntimeError.
+
+    What the search leaves open HiGHS proves as before. Phase 1 sweeps the
+    step count upward from the larger of `step_lower_bound` and the first
+    layer the search did not finish. Phase 3 solves the one-swap-per-step
+    model one step below the phase-2 count with its first steps pinned
+    active (`cheaper_swap_floor`). Placement fixing is derived from the
+    instance: when there is a gate between every pair of the hardware's
+    tokens, each solve fixes the middle placement
+    (`add_complete_placement_fixing`), which keeps the optimum, and
+    symmetry anchoring, which could contradict it, is left off.
+
+    Disconnected hardware is solved when the search settles all three
+    numbers; a search that proves no solution exists raises
+    InfeasibleInstanceError, and one that runs out of budget leaves the
+    instance refused with ValueError.
 
     On a solver timeout the result carries whatever was established, with
-    the optimality flags of the missing pieces left False. Each phase's
-    entry in `timings` is the wall time of its model builds, solves and
-    decodes: `find_min_steps` covers the infeasible probes,
-    `min_swaps_at_min_steps` the first feasible one and `min_swaps_overall`
-    the phase-3 solve.
+    the optimality flags of the missing pieces left False. `timings` holds
+    the wall time of the search and of each phase's model builds, solves
+    and decodes: `find_min_steps` covers the infeasible probes,
+    `min_swaps_at_min_steps` the first feasible one (or the witness) and
+    `min_swaps_overall` the phase-3 solve. `notes` names the certificate of
+    each number: a bound, the search with the work it spent, or a HiGHS solve.
     """
     cfg = cfg or PipelineConfig()
-    if not inst.hardware.is_connected():
-        raise ValueError("hardware graph must be connected")
     res = PipelineResult()
 
     t0 = time.monotonic()
@@ -148,40 +153,41 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         return res
     res.timings["embed"] = time.monotonic() - t0
 
+    t0 = time.monotonic()
+    search = RelativeFrameSearch(inst, SEARCH_BUDGET)
+    steps = search.min_steps()
+    at_mt = cheaper = None
+    if steps.exact and steps.value >= 0:
+        at_mt = search.min_swaps_within(steps.value)
+        if at_mt.exact and at_mt.value > cheaper_swap_floor(inst, steps.value):
+            cheaper = search.cheaper_swaps(at_mt.value)
+    res.timings["search"] = time.monotonic() - t0
+    if steps.exact and steps.value < 0:
+        raise InfeasibleInstanceError("no swap sequence realizes every connection")
+    settled = at_mt is not None and at_mt.exact and (cheaper is None or cheaper.exact)
+    if not settled and not inst.hardware.is_connected():
+        raise ValueError(
+            "hardware graph must be connected unless the search settles the "
+            f"instance within its budget of {SEARCH_BUDGET}"
+        )
+    # a cheaper solution found by the search (cheaper.value < ms_at_mt)
+    found = cheaper.value if cheaper is not None and cheaper.exact else -1
+
     fixing = inst.algorithm_is_complete() and inst.algorithm.n == inst.hardware.n
     symmetry = cfg.use_hardware_symmetry and not fixing
 
-    t_cap = inst.hardware.n * inst.hardware.n
-    phase1 = 0.0
-    attempt = None
-    t = step_lower_bound(inst)
-    while t <= t_cap:
-        t0 = time.monotonic()
-        a = solve_min_swaps_at(
-            inst, t, cfg.variant,
-            time_limit=cfg.time_limit, use_symmetry=symmetry, use_fixing=fixing,
+    if found >= 0:
+        # ms < ms_at_mt, so the phase-3 witness is the only solution needed
+        res.mt, res.ms_at_mt = steps.value, at_mt.value
+        res.mt_optimal = res.ms_at_mt_optimal = True
+        res.notes.append(f"certified by search: mt = {res.mt} (work {steps.work})")
+        res.notes.append(
+            f"certified by search: ms_at_mt = {res.ms_at_mt} (work {at_mt.work})"
         )
-        probe = time.monotonic() - t0
-        if a.status == "timeout":
-            res.timings["find_min_steps"] = phase1 + probe
-            res.notes.append(f"solve timed out while probing {t} steps")
-            return res
-        if a.status == "optimal":
-            attempt = a
-            break
-        phase1 += probe
-        t += 1
-    if attempt is None:
-        raise RuntimeError(f"no feasible step count up to {t_cap}")
-    res.timings["find_min_steps"] = phase1
-    res.timings["min_swaps_at_min_steps"] = probe
-    res.mt = t
-    res.mt_optimal = True
-    res.ms_at_mt = attempt.swaps
-    res.ms_at_mt_optimal = True
-    res.swap_solution = attempt.solution.compacted()
+    elif not _steps_and_swaps_at_mt(inst, cfg, res, steps, at_mt, fixing, symmetry):
+        return res
 
-    floor = _cheaper_swap_floor(inst, res.mt)
+    floor = cheaper_swap_floor(inst, res.mt)
     if res.ms_at_mt <= floor:
         res.ms = res.ms_at_mt
         res.ms_optimal = True
@@ -190,11 +196,30 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
             f"so {res.ms_at_mt} is optimal"
         )
         return res
+    if cheaper is not None and cheaper.exact and found < 0:
+        res.ms = res.ms_at_mt
+        res.ms_optimal = True
+        res.notes.append(
+            f"certified by search: no solution has fewer than {res.ms_at_mt} swaps "
+            f"(work {cheaper.work})"
+        )
+        return res
 
-    target = res.ms_at_mt - 1
+    # A cheaper solution, serialized, fits in ms_at_mt - 1 single-swap steps
+    # and activates at least as many of them as it has swaps
+    # (`cheaper_swap_floor`); steps_ordered makes the active steps a prefix,
+    # so those may be pinned to 1. Symmetry anchoring and placement fixing
+    # only relabel nodes or tokens, which keeps the active steps. When the
+    # search found the optimum, the model at that many steps with every step
+    # pinned only has to produce a witness.
+    if found >= 0:
+        target = pinned = found
+    else:
+        target = res.ms_at_mt - 1
+        pinned = floor if cheaper is None else max(floor, cheaper.value)
     t0 = time.monotonic()
     model = build_swap_step_model(inst, steps=target)
-    for t in range(1, floor + 1):
+    for t in range(1, pinned + 1):
         model.fix_var(f"s_t{t}", 1.0)
     if symmetry:
         from .milp.models import add_hardware_symmetry
@@ -209,21 +234,100 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         step_solution = decode_solution(inst, step_result, steps=target)
     res.timings["min_swaps_overall"] = time.monotonic() - t0
     if step_result.status == "infeasible":
+        if found >= 0:
+            raise RuntimeError(
+                f"HiGHS finds no {found}-swap witness, where the search found one"
+            )
         res.ms = res.ms_at_mt
         res.ms_optimal = True
         res.notes.append(
-            f"certified by phase-3 solve: no solution with {floor} to {target} "
+            f"certified by phase-3 solve: no solution with {pinned} to {target} "
             f"swaps fits in {target} single-swap steps"
         )
+        return res
+    if step_result.status == "timeout":
+        res.notes.append(f"solve timed out at {target} single-swap steps")
         return res
     if not step_result.is_optimal:
         res.notes.append(f"step-count solve ended with status {step_result.status}")
         return res
     res.ms = int(round(step_result.objective))
     res.ms_optimal = True
-    res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
+    if found >= 0:
+        res.notes.append(f"certified by search: ms = {res.ms} (work {cheaper.work})")
+    else:
+        res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
     res.swap_solution = step_solution.compacted()
     return res
+
+
+def _steps_and_swaps_at_mt(inst, cfg, res, steps, at_mt, fixing, symmetry) -> bool:
+    """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
+    res, or add a timeout note and return False.
+
+    What the search proved narrows the work. An exact mt is the first
+    horizon tried, and an exact ms_at_mt caps the swaps, which leaves
+    HiGHS only a witness to find; otherwise the sweep starts at the first
+    layer the search did not finish.
+    """
+    # phase 0, the embedding check, is the search's first layer: mt >= 1
+    start = steps.value if steps.exact else max(step_lower_bound(inst), steps.value, 1)
+    witness_cap = at_mt.value if at_mt is not None and at_mt.exact else None
+    t_cap = inst.hardware.n * inst.hardware.n
+    phase1 = 0.0
+    attempt = None
+    t = start
+    while t <= t_cap:
+        t0 = time.monotonic()
+        a = solve_min_swaps_at(
+            inst, t, cfg.variant, time_limit=cfg.time_limit,
+            use_symmetry=symmetry, use_fixing=fixing, max_swaps=witness_cap,
+        )
+        probe = time.monotonic() - t0
+        if a.status == "timeout":
+            res.timings["find_min_steps"] = phase1 + probe
+            task = "probing" if witness_cap is None else "finding a witness at"
+            res.notes.append(f"solve timed out while {task} {t} steps")
+            return False
+        if a.status == "optimal":
+            attempt = a
+            break
+        if steps.exact:
+            raise RuntimeError(
+                f"HiGHS reports status {a.status} at {t} steps, where the search "
+                "found a solution"
+            )
+        phase1 += probe
+        t += 1
+    if attempt is None:
+        raise RuntimeError(f"no feasible step count up to {t_cap}")
+    if witness_cap is not None and attempt.swaps != witness_cap:
+        raise RuntimeError(
+            f"HiGHS witness has {attempt.swaps} swaps at {t} steps, "
+            f"where the search proved {witness_cap}"
+        )
+    res.timings["find_min_steps"] = phase1
+    res.timings["min_swaps_at_min_steps"] = probe
+    res.mt = t
+    res.mt_optimal = True
+    res.ms_at_mt = attempt.swaps
+    res.ms_at_mt_optimal = True
+    res.swap_solution = attempt.solution.compacted()
+    if steps.exact:
+        res.notes.append(f"certified by search: mt = {t} (work {steps.work})")
+    elif t > start:
+        res.notes.append(f"certified by phase-1 solves: mt = {t}, none at {t - 1} steps")
+    elif start == steps.value:
+        res.notes.append(
+            f"certified by search: mt = {t}, none within {t - 1} steps (work {steps.work})"
+        )
+    else:
+        res.notes.append(f"certified by bound: mt = {t}, the step lower bound")
+    if witness_cap is not None:
+        res.notes.append(f"certified by search: ms_at_mt = {witness_cap} (work {at_mt.work})")
+    else:
+        res.notes.append(f"certified by phase-2 solve: ms_at_mt = {res.ms_at_mt}")
+    return True
 
 
 def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:

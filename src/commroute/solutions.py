@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 from .graphs import Graph, _normalize_edge
 
@@ -324,21 +325,25 @@ def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> Circui
     return CircuitValidation(not problems, circuit.depth, circuit.swaps, problems)
 
 
-def is_subgraph_placement(inst: TmpInstance) -> TokenPlacement | None:
-    """A placement realizing every connection at once, or None.
+def embed_within(a: Graph, h: Graph, limit: float = inf) -> tuple[list[int] | None, int]:
+    """Backtracking embedding of graph a into graph h as a subgraph.
 
-    Backtracking embedding of the algorithm graph into the hardware graph;
-    dummy tokens fill the leftover nodes in ascending order.
+    Returns (image, steps): image[p] is the node of h that vertex p of a
+    maps to, or None when no embedding exists; steps counts the vertex
+    placements tried. The search gives up at the first step past `limit`,
+    so steps <= limit + 1, and a None image with steps > limit is
+    undecided, not a no.
     """
-    a, h = inst.algorithm, inst.hardware
     if a.num_edges > h.num_edges:
-        return None
+        return None, 0
     hdeg = [h.degree(i) for i in range(h.n)]
     order = sorted(range(a.n), key=lambda p: -a.degree(p))
     image = [-1] * a.n
     used = [False] * h.n
+    steps = 0
 
     def place(k: int) -> bool:
+        nonlocal steps
         if k == a.n:
             return True
         p = order[k]
@@ -347,16 +352,31 @@ def is_subgraph_placement(inst: TmpInstance) -> TokenPlacement | None:
                 continue
             if any(image[q] >= 0 and not h.has_edge(node, image[q]) for q in a.adjacency[p]):
                 continue
+            steps += 1
+            if steps > limit:
+                return False
             image[p] = node
             used[node] = True
             if place(k + 1):
                 return True
+            if steps > limit:
+                return False
             image[p] = -1
             used[node] = False
         return False
 
-    if not place(0):
+    return (image if place(0) else None), steps
+
+
+def is_subgraph_placement(inst: TmpInstance) -> TokenPlacement | None:
+    """A placement realizing every connection at once, or None.
+
+    Backtracking embedding of the algorithm graph into the hardware graph;
+    dummy tokens fill the leftover nodes in ascending order.
+    """
+    image, _ = embed_within(inst.algorithm, inst.hardware)
+    if image is None:
         return None
-    free = [i for i in range(h.n) if not used[i]]
-    pos = image + free
-    return TokenPlacement(tuple(pos))
+    used = set(image)
+    free = [i for i in range(inst.hardware.n) if i not in used]
+    return TokenPlacement(tuple(image + free))

@@ -45,3 +45,30 @@ def test_kernel_calls_reach_the_tracer(monkeypatch):
         spans = [s for s in tracer.spans if s["name"] == name]
         assert spans, name
         assert all(s["starts"] >= 1 for s in spans), spans
+
+
+def test_pipeline_search_reaches_the_tracer(monkeypatch):
+    # the pipeline's searches must show up as kernel spans under
+    # pipeline.solve_min_swaps, and a settled instance leaves no phase-1 probe
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from commroute import pipeline
+    from commroute.graphs import complete_graph, path_graph
+    from commroute.solutions import TmpInstance
+
+    inst = TmpInstance(path_graph(4), complete_graph(4))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = pipeline.solve_min_swaps(inst)
+    finally:
+        tracer.uninstall()
+    assert res.complete
+    by_id = {s["id"]: s for s in tracer.spans}
+    kernels = [s for s in tracer.spans if s["name"].startswith("kernel.")]
+    assert {s["name"] for s in kernels} == {"kernel.min_steps", "kernel.min_swaps_within"}
+    assert all(by_id[s["parent"]]["name"] == "pipeline.solve_min_swaps" for s in kernels)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["pipeline.phase1_probes"] == 0
+    assert metrics["pipeline.solves"] == 1

@@ -79,6 +79,24 @@ def test_oracle_infeasible_instance(capsys, unroutable_instance):
     assert "error" in payload
 
 
+@pytest.mark.parametrize("cmd", ["solve", "route"])
+def test_pipeline_infeasible_instance(capsys, unroutable_instance, cmd):
+    code, payload, err = run(capsys, cmd, unroutable_instance)
+    assert code == 2
+    assert "no swap sequence" in payload["error"]
+    assert not err
+
+
+def test_route_on_disconnected_hardware(capsys, tmp_path):
+    inst = TmpInstance(Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)]), star_graph(4))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    code, payload, _ = run(capsys, "route", str(path))
+    assert code == 0
+    assert (payload["mt"], payload["ms"]) == (1, 1)
+    assert payload["routed_circuit"] is not None
+
+
 def test_solve(capsys, tiny_instance):
     code, payload, _ = run(capsys, "solve", tiny_instance)
     assert code == 0

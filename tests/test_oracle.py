@@ -4,15 +4,26 @@ import random
 
 import pytest
 
-from commroute.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from commroute._search_py import Outcome
+from commroute.graphs import (
+    Graph,
+    all_matchings,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
 from commroute.oracle import (
     InfeasibleInstanceError,
+    RelativeFrameSearch,
     SizeLimitError,
     oracle_min_steps,
     oracle_min_swaps,
     oracle_min_swaps_at,
 )
-from commroute.solutions import TmpInstance
+from commroute.pipeline import generate_instance
+from commroute.solutions import TmpInstance, embed_within
 
 from conftest import brute_swaps_within, random_connected_graph, random_tree
 
@@ -135,3 +146,74 @@ def test_relative_frame_matches_brute_force():
             seen.add(f"mt={mt}")
             assert oracle_min_steps(inst) == mt
     assert seen == {"infeasible", "mt=0", "mt=1", "mt=2", "mt=3"}
+
+
+def _budgeted(inst, extra):
+    """A search whose budget leaves `extra` work after the matching enumeration."""
+    return RelativeFrameSearch(inst, len(all_matchings(inst.hardware, include_empty=False)) + extra)
+
+
+def test_budgeted_answers_are_lower_bounds():
+    # a search that runs out must return a bound no greater than the optimum;
+    # this is where an inadmissible A* heuristic shows, since its f overshoots
+    rng = random.Random(31)
+    cases = [
+        TmpInstance(star_graph(5), complete_graph(5)),
+        TmpInstance(star_graph(6), complete_graph(6)),
+        TmpInstance(path_graph(5), complete_graph(5)),
+        TmpInstance(path_graph(6), star_graph(6)),
+    ]
+    cases += [TmpInstance(random_tree(5, rng), _dense_gates(5, rng)) for _ in range(4)]
+    for inst in cases:
+        full = RelativeFrameSearch(inst)
+        mt = full.min_steps()
+        assert mt.exact and mt.value == oracle_min_steps(inst)
+        for extra in range(mt.work + 1):
+            out = _budgeted(inst, extra).min_steps()
+            assert out.work <= extra
+            assert out == mt if out.exact else out.value <= mt.value
+        for t in (mt.value, mt.value + 1):
+            want = full.min_swaps_within(t)
+            assert want.value == oracle_min_swaps_at(inst, t)
+            for extra in range(0, want.work + 1, max(1, want.work // 40)):
+                out = _budgeted(inst, extra).min_swaps_within(t)
+                assert out.work <= extra
+                if out.exact:
+                    assert out.value == want.value
+                else:
+                    assert out.value <= want.value, (inst.hardware.edges, t, extra)
+
+
+def test_budget_bounds_the_matching_enumeration():
+    # grid4x4 has 10,012 matchings; a budget below that stops the enumeration
+    inst = TmpInstance(grid_graph(4, 4), complete_graph(16))
+    search = RelativeFrameSearch(inst, 500)
+    assert search.work == 501
+    assert search.min_steps() == Outcome(0, False, 0)
+    assert search.min_swaps_within(3) == Outcome(0, False, 0)
+
+
+def test_budget_bounds_the_embedding_tests():
+    # 36 gates on grid4x4: after one expansion the embedding tests, not the
+    # 2 x 10,012 matchings and successors, are what uses up the budget
+    inst = generate_instance(grid_graph(4, 4), 0.3, 1)
+    search = RelativeFrameSearch(inst, 25_000)
+    out = search.min_steps()
+    assert not out.exact and out.value >= 1
+    assert 2 * 10_012 < search.work <= 25_000
+
+
+def test_embedding_gives_up_one_step_past_its_limit():
+    assert embed_within(complete_graph(4), complete_graph(4))[0] is not None
+    # a 4-node path does not fit in a triangle plus an isolated node
+    triangle = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    image, steps = embed_within(path_graph(4), triangle)
+    assert image is None and steps > 2  # decided: no
+    assert embed_within(path_graph(4), triangle, 2) == (None, 3)  # undecided
+
+
+def test_cheaper_swaps_decides_the_overall_optimum():
+    inst = TmpInstance(path_graph(6), star_graph(6))  # ms_at_mt = 4 at 2 steps, ms = 3
+    search = RelativeFrameSearch(inst)
+    assert search.cheaper_swaps(4).value == 3
+    assert search.cheaper_swaps(3).value == -1

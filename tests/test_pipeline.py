@@ -5,12 +5,20 @@ import time
 import pytest
 
 import commroute.milp.models as milp_models
+import commroute.pipeline as pipeline_module
 import commroute.scheduler as scheduler
 
-from commroute.bounds import swap_lower_bound
+from commroute.bounds import cheaper_swap_floor, swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 from commroute.milp import SolveResult
-from commroute.oracle import oracle_min_steps, oracle_min_swaps, oracle_min_swaps_at
+from commroute.milp.models import SolveAttempt
+from commroute.oracle import (
+    InfeasibleInstanceError,
+    RelativeFrameSearch,
+    oracle_min_steps,
+    oracle_min_swaps,
+    oracle_min_swaps_at,
+)
 from commroute.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -25,6 +33,12 @@ from commroute.solutions import TmpInstance, validate_routed_circuit, validate_s
 from conftest import connected_graphs, random_connected_graph, random_tree
 
 
+@pytest.fixture
+def highs_only(monkeypatch):
+    """No search budget: every number is certified by a bound or by HiGHS."""
+    monkeypatch.setattr(pipeline_module, "SEARCH_BUDGET", 0)
+
+
 def test_worked_example():
     inst = TmpInstance(path_graph(6), star_graph(6))
     res = solve_min_swaps(inst)
@@ -32,6 +46,27 @@ def test_worked_example():
     assert res.complete
     assert validate_swap_solution(inst, res.swap_solution).valid
     assert res.swap_solution.swaps == 3
+    # the search settles all three numbers; HiGHS only finds the 3-swap witness
+    claims = ["mt = 2 (work", "ms_at_mt = 4 (work", "ms = 3 (work"]
+    assert len(res.notes) == 3
+    for note, claim in zip(res.notes, claims):
+        assert note.startswith("certified by search: " + claim), note
+    assert "search" in res.timings and "min_swaps_overall" in res.timings
+    assert "min_swaps_at_min_steps" not in res.timings
+
+
+def test_worked_example_through_highs(highs_only):
+    inst = TmpInstance(path_graph(6), star_graph(6))
+    res = solve_min_swaps(inst)
+    assert (res.mt, res.ms_at_mt, res.ms) == (2, 4, 3)
+    assert res.complete
+    assert validate_swap_solution(inst, res.swap_solution).valid
+    assert res.notes == [
+        "certified by phase-1 solves: mt = 2, none at 1 steps",
+        "certified by phase-2 solve: ms_at_mt = 4",
+        "certified by phase-3 solve: optimum 3 single-swap steps",
+    ]
+    assert res.timings["find_min_steps"] > 0
 
 
 def test_subgraph_fast_path():
@@ -105,7 +140,7 @@ def test_cheaper_swap_floor_on_oracle_sweep():
 
 
 @pytest.mark.parametrize("seed", GAP_SEEDS)
-def test_pinned_phase_three_matches_oracle(seed):
+def test_pinned_phase_three_matches_oracle(seed, highs_only):
     inst = _tree_dense_instance(seed)
     mt, ms_at_mt, ms = _oracle_profile(inst)
     assert ms_at_mt - mt >= 2
@@ -117,10 +152,102 @@ def test_pinned_phase_three_matches_oracle(seed):
     assert validate_swap_solution(inst, res.swap_solution).valid
 
 
-def test_disconnected_hardware_rejected():
-    inst = TmpInstance(Graph(4, [(0, 1), (2, 3)]), Graph(2, [(0, 1)]))
-    with pytest.raises(ValueError):
+# seeds of _tree_dense_instance where HiGHS spent seconds on phases 2 and 3
+SEARCH_SEEDS = (8, 28, 61, 102)
+
+
+@pytest.mark.parametrize("seed", GAP_SEEDS + SEARCH_SEEDS)
+def test_search_certifies_tree_dense_instances(seed):
+    inst = _tree_dense_instance(seed)
+    res = solve_min_swaps(inst)
+    assert res.complete
+    assert (res.mt, res.ms_at_mt, res.ms) == _oracle_profile(inst)
+    assert validate_swap_solution(inst, res.swap_solution).swaps == res.ms
+    assert all(note.startswith("certified by search") for note in res.notes), res.notes
+    assert res.timings["find_min_steps"] == 0
+    assert "min_swaps_overall" not in res.timings
+
+
+def test_partial_search_budgets_match_oracle(monkeypatch):
+    # budgets that run out in each of the three searches leave HiGHS a
+    # narrowed phase 1, a plain phase 2 or a phase 3 pinned by the search
+    tree6 = Graph(6, [(0, 4), (0, 5), (1, 2), (1, 5), (3, 5)])
+    cases = [TmpInstance(star_graph(5), complete_graph(5)),  # (3, 3, 3)
+             TmpInstance(tree6, complete_graph(6)),  # (4, 7, 6)
+             _tree_dense_instance(GAP_SEEDS[0])]  # (3, 6, 6)
+    for inst in cases:
+        want = _oracle_profile(inst)
+        # the work of the pipeline's searches when they all finish
+        search = RelativeFrameSearch(inst)
+        search.min_steps()
+        search.min_swaps_within(want[0])
+        if want[1] > cheaper_swap_floor(inst, want[0]):
+            search.cheaper_swaps(want[1])
+        for budget in (search.work // 4, search.work // 2, search.work - 1):
+            monkeypatch.setattr(pipeline_module, "SEARCH_BUDGET", budget)
+            res = solve_min_swaps(inst)
+            assert res.complete
+            assert (res.mt, res.ms_at_mt, res.ms) == want, (budget, res.notes)
+            assert validate_swap_solution(inst, res.swap_solution).swaps == res.ms
+
+
+def test_witness_solve_that_finds_nothing_raises(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
+                        lambda *args, **kwargs: SolveAttempt("infeasible", None, None))
+    with pytest.raises(RuntimeError, match="search"):
+        solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+
+
+def test_witness_timeout_leaves_the_result_partial(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
+                        lambda *args, **kwargs: SolveAttempt("timeout", None, None))
+    res = solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+    assert res.notes == ["solve timed out while finding a witness at 1 steps"]
+    assert res.mt is None and res.swap_solution is None
+    assert not (res.mt_optimal or res.ms_at_mt_optimal or res.ms_optimal)
+
+
+def test_phase_three_witness_that_finds_nothing_raises(monkeypatch):
+    # the search finds 3 < ms_at_mt = 4 swaps, so the step-count model is a witness solve
+    monkeypatch.setattr(pipeline_module.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("infeasible"))
+    with pytest.raises(RuntimeError, match="witness"):
+        solve_min_swaps(TmpInstance(path_graph(6), star_graph(6)))
+
+
+def _two_components(*paths: int) -> Graph:
+    edges, base = [], 0
+    for n in paths:
+        edges += [(base + k, base + k + 1) for k in range(n - 1)]
+        base += n
+    return Graph(base, edges)
+
+
+def test_disconnected_hardware_matches_oracle():
+    cases = [TmpInstance(_two_components(4, 2), star_graph(4)),
+             TmpInstance(_two_components(4, 2), complete_graph(4)),
+             TmpInstance(_two_components(5, 2), star_graph(5))]
+    for inst in cases:
+        res = route(inst)
+        assert res.complete
+        assert (res.mt, res.ms) == (oracle_min_steps(inst), oracle_min_swaps(inst))
+        assert validate_swap_solution(inst, res.swap_solution).valid
+        assert validate_routed_circuit(inst, res.routed_circuit).valid
+
+
+def test_unroutable_instance_raises_infeasible():
+    # four star tokens on two disjoint hardware edges never all meet the center
+    inst = TmpInstance(_two_components(2, 2), star_graph(4))
+    with pytest.raises(InfeasibleInstanceError):
         solve_min_swaps(inst)
+
+
+def test_disconnected_hardware_rejected(highs_only):
+    # without the search, nothing proves feasibility on disconnected hardware
+    inst = TmpInstance(_two_components(4, 2), star_graph(4))
+    with pytest.raises(ValueError, match="connected") as exc:
+        solve_min_swaps(inst)
+    assert not isinstance(exc.value, InfeasibleInstanceError)
 
 
 def test_config_validates_time_limit():
@@ -130,7 +257,7 @@ def test_config_validates_time_limit():
         PipelineConfig(time_limit=-1.5)
 
 
-def test_results_match_oracle_small(rng):
+def test_results_match_oracle_small(rng, highs_only):
     for _ in range(6):
         inst = TmpInstance(random_connected_graph(4, rng), random_connected_graph(4, rng))
         res = solve_min_swaps(inst)
