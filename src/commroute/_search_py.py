@@ -39,6 +39,14 @@ antichain dominance below. A U with fewer pairs than there are gates
 cannot hold the gate graph and is rejected without the embedding check;
 the check itself is memoised per U.
 
+Witness. Each frontier or heap entry carries a link (parent link,
+matching index), and a goal state returns the matching indices along its
+links as Outcome.path. Replaying them from the identity placement
+rebuilds the goal's U, and by the soundness argument any embedding of the
+gate graph into ([n], U), dummies on the leftover labels, is a start
+placement from which the sequence realizes every gate. The visited table
+keeps no links.
+
 One swap on hardware edge {i, j} makes at most swap_capacity label pairs
 adjacent that were not adjacent before (bounds.max_gain_per_swap), and so
 adds at most that many pairs to U; step_capacity bounds a whole step the
@@ -69,11 +77,22 @@ from typing import NamedTuple
 
 class Outcome(NamedTuple):
     """A search's answer: the optimum, or -1 when none exists; when the
-    budget ran out first (exact False), a proven lower bound instead."""
+    budget ran out first (exact False), a proven lower bound instead. path
+    holds the matching indices from the start to the goal state reached."""
 
     value: int
     exact: bool
     work: int  # successors generated plus embedding-test work
+    path: tuple[int, ...] = ()
+
+
+def _path(link) -> tuple[int, ...]:
+    """Matching indices along a chain of (parent link, matching index) links."""
+    out = []
+    while link is not None:
+        link, mi = link
+        out.append(mi)
+    return tuple(reversed(out))
 
 
 def _coverage(tok_at, hw_edges, pair_bit, n: int) -> int:
@@ -127,7 +146,7 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
     work = 0
     reached = _goal_test(num_gates, embeds)
     visited: dict[tuple[int, ...], list[int]] = {}
-    frontier: list[tuple[list[int], int]] = []
+    frontier: list[tuple[list[int], int, tuple | None]] = []
     for s in starts:
         tok = list(s)
         c = _coverage(tok, hw_edges, pair_bit, n)
@@ -138,16 +157,16 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
         if hit:
             return Outcome(0, True, work)
         if _push_mask(visited.setdefault(tuple(s), []), c):
-            frontier.append((tok, c))
+            frontier.append((tok, c, None))
     depth = 0
     while frontier:
         depth += 1
-        nxt: list[tuple[list[int], int]] = []
-        for tok, cov in frontier:
+        nxt: list[tuple[list[int], int, tuple | None]] = []
+        for tok, cov, link in frontier:
             if work + len(matchings) > budget:
                 return Outcome(depth, False, work)
             work += len(matchings)
-            for m in matchings:
+            for mi, m in enumerate(matchings):
                 t2 = tok.copy()
                 for k in range(0, len(m), 2):
                     u, v = m[k], m[k + 1]
@@ -160,9 +179,9 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
                     if hit is None:
                         return Outcome(depth, False, work)
                     if hit:
-                        return Outcome(depth, True, work)
+                        return Outcome(depth, True, work, _path((link, mi)))
                 if _push_mask(visited.setdefault(tuple(t2), []), c2):
-                    nxt.append((t2, c2))
+                    nxt.append((t2, c2, (link, mi)))
         frontier = nxt
     return Outcome(-1, True, work)
 
@@ -200,7 +219,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
             return -1  # unreachable
         return -(-missing // swap_capacity)
 
-    heap: list[tuple[int, int, int, int, tuple[int, ...], int]] = []
+    heap: list[tuple[int, int, int, int, tuple[int, ...], int, tuple | None]] = []
     counter = 0
     for s in starts:
         cov = _coverage(s, hw_edges, pair_bit, n)
@@ -212,10 +231,10 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
             continue
         key = tuple(s)
         if admit(key, cov, 0, 0):
-            heapq.heappush(heap, (h, 0, 0, counter, key, cov))
+            heapq.heappush(heap, (h, 0, 0, counter, key, cov, None))
             counter += 1
     while heap:
-        f, g, steps, _, tok, cov = heapq.heappop(heap)
+        f, g, steps, _, tok, cov, link = heapq.heappop(heap)
         if f > max_swaps:
             break
         hit, spent = reached(cov, budget - work)
@@ -223,7 +242,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
         if hit is None:
             return Outcome(f, False, work)
         if hit:
-            return Outcome(g, True, work)
+            return Outcome(g, True, work, _path(link))
         if steps >= max_steps:
             continue
         if work + len(matchings) > budget:
@@ -245,6 +264,6 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
                 continue
             key = tuple(t2)
             if admit(key, c2, s2, g2):
-                heapq.heappush(heap, (g2 + h, g2, s2, counter, key, c2))
+                heapq.heappush(heap, (g2 + h, g2, s2, counter, key, c2, (link, mi)))
                 counter += 1
     return Outcome(-1, True, work)

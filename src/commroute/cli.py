@@ -95,7 +95,6 @@ def _config_from(args) -> PipelineConfig:
         return PipelineConfig(
             variant=ModelVariant.from_string(args.variant),
             time_limit=args.time_limit,
-            use_hardware_symmetry=args.symmetry,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -106,8 +105,6 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    choices=[v.value for v in ModelVariant])
     p.add_argument("--time-limit", type=float, default=None,
                    help="per-solve limit in seconds")
-    p.add_argument("--symmetry", action="store_true",
-                   help="anchor one token using hardware automorphism orbits")
 
 
 def cmd_generate(args) -> int:

@@ -376,19 +376,11 @@ def solve_min_swaps_at(
     time_limit: float | None = None,
     use_symmetry: bool = False,
     use_fixing: bool = False,
-    max_swaps: int | None = None,
 ) -> SolveAttempt:
     """Minimum swap count over exactly `steps` swap steps, with solution.
 
     status "infeasible" means no solution covers all gates within the
     horizon; swaps/solution are then None.
-
-    With max_swaps set the solve only looks for a witness: the swap count
-    becomes the row `swaps <= max_swaps` and the objective is zero, so
-    HiGHS stops at the first solution instead of proving a bound, and
-    swaps is that solution's count. A floor row `swaps >= k` would prove
-    the same optimum in one node, but HiGHS then piles up thousands of
-    root cuts and peaks above the plain solve's memory.
     """
     if use_symmetry and use_fixing:
         raise ValueError(
@@ -400,12 +392,8 @@ def solve_min_swaps_at(
         add_hardware_symmetry(model, inst, steps=steps)
     if use_fixing:
         add_complete_placement_fixing(model, inst, steps=steps)
-    if max_swaps is not None:
-        model.add_constr("swap_cap", model.objective, "<=", max_swaps)
-        model.set_objective(())
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         return SolveAttempt(result.status, None, None)
     solution = decode_solution(inst, result, steps=steps)
-    swaps = solution.swaps if max_swaps is not None else _integral_objective(result.objective)
-    return SolveAttempt("optimal", swaps, solution)
+    return SolveAttempt("optimal", _integral_objective(result.objective), solution)

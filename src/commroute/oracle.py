@@ -5,7 +5,8 @@ exponential: instances above the node limit are refused outright.
 
 `RelativeFrameSearch` prepares the instance tables and the embedding test
 and runs the searches, optionally under a work budget, which is how the
-pipeline uses it. The search itself runs once, from the identity
+pipeline uses it; it also turns a search's goal state into a witness
+`SwapSolution`. The search itself runs once, from the identity
 placement, in the kernel module _search_py, whose docstring proves why
 that one search covers every start placement. The kernel functions are
 looked up on that module at every call, so a wrapper installed on
@@ -22,7 +23,7 @@ from ._search_py import Outcome
 from .bounds import cheaper_swap_floor, max_gain_per_step, max_gain_per_swap
 from .graphs import Graph, iter_matchings
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .solutions import TmpInstance, embed_within, is_subgraph_placement
+from .solutions import SwapSolution, TmpInstance, embed_within, is_subgraph_placement
 
 DEFAULT_NODE_LIMIT = 7
 
@@ -63,8 +64,8 @@ class RelativeFrameSearch:
         # the number of matchings grows exponentially with the hardware, so the
         # enumeration stops as soon as it would exceed the budget
         stop = None if budget is None else budget + 2
-        found = list(islice(iter_matchings(inst.hardware), 1, stop))  # skip the empty one
-        self._charge(len(found))
+        self._matchings = list(islice(iter_matchings(inst.hardware), 1, stop))  # skip the empty one
+        self._charge(len(self._matchings))
         if self.left < 0:
             self._args = None
             return
@@ -74,7 +75,7 @@ class RelativeFrameSearch:
             pair_bit[a * n + b] = bit
             pair_bit[b * n + a] = bit
         hw_edges = [x for e in inst.hardware.edges for x in e]
-        matchings = [[x for e in m for x in e] for m in found]
+        matchings = [[x for e in m for x in e] for m in self._matchings]
 
         def embeds(mask: int, limit: float) -> tuple[bool | None, int]:
             # one unit per pair copied into the graph plus one per backtracking
@@ -127,6 +128,36 @@ class RelativeFrameSearch:
         """
         return self.min_swaps_within(ms_at_mt - 1, max_swaps=ms_at_mt - 1)
 
+    def settle(self) -> tuple[Outcome, Outcome | None, Outcome | None]:
+        """The Outcomes of the breadth-first search (mt), A* at mt (ms_at_mt)
+        and `cheaper_swaps` (ms); a search is None when `cheaper_swap_floor`
+        settles it or an earlier one is inexact or finds no solution."""
+        steps = self.min_steps()
+        at_mt = cheaper = None
+        if steps.exact and steps.value >= 0:
+            at_mt = self.min_swaps_within(steps.value)
+            if at_mt.exact and at_mt.value > cheaper_swap_floor(self.inst, steps.value):
+                cheaper = self.cheaper_swaps(at_mt.value)
+        return steps, at_mt, cheaper
+
+    def witness(self, out: Outcome) -> SwapSolution | None:
+        """The solution behind an exact Outcome with a nonnegative value: its
+        path replayed from the identity placement rebuilds U, and the gate
+        graph's embedding into U is the start placement. None when U does
+        not hold the gate graph, which a correct path never gives."""
+        n = self.inst.num_nodes
+        tok = list(range(n))
+        seen = set(self.inst.hardware.edges)
+        for mi in out.path:
+            for u, v in self._matchings[mi]:
+                tok[u], tok[v] = tok[v], tok[u]
+            seen.update((min(tok[u], tok[v]), max(tok[u], tok[v]))
+                        for u, v in self.inst.hardware.edges)
+        start = is_subgraph_placement(TmpInstance(Graph(n, seen), self.inst.algorithm))
+        if start is None:
+            return None
+        return SwapSolution(start, tuple(self._matchings[mi] for mi in out.path))
+
 
 def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
     """Fewest swap steps over all solutions (breadth-first over placements)."""
@@ -153,19 +184,13 @@ def oracle_min_swaps_at(
 
 
 def oracle_min_swaps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
-    """Fewest swaps over all solutions regardless of step count.
-
-    The optimum within the fewest steps, ms_at_mt, is the answer unless a
-    cheaper solution exists, which `RelativeFrameSearch.cheaper_swaps`
-    decides; `cheaper_swap_floor` settles it without a search when ms_at_mt
-    does not exceed that floor.
-    """
-    mt = oracle_min_steps(inst, node_limit)
-    if mt == 0:
+    """Fewest swaps over all solutions regardless of step count: the optimum
+    within the fewest steps, ms_at_mt, unless `RelativeFrameSearch.settle`
+    finds a cheaper solution."""
+    _check_size(inst, node_limit)
+    if not inst.connections or is_subgraph_placement(inst) is not None:
         return 0
-    search = RelativeFrameSearch(inst)
-    ms_at_mt = search.min_swaps_within(mt).value
-    if ms_at_mt <= cheaper_swap_floor(inst, mt):
-        return ms_at_mt
-    cheaper = search.cheaper_swaps(ms_at_mt).value
-    return ms_at_mt if cheaper < 0 else cheaper
+    steps, at_mt, cheaper = RelativeFrameSearch(inst).settle()
+    if steps.value < 0:
+        raise InfeasibleInstanceError("no swap sequence realizes every connection")
+    return at_mt.value if cheaper is None or cheaper.value < 0 else cheaper.value

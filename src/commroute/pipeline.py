@@ -10,10 +10,9 @@ minimal swap count ms.
    fixed work budget. Breadth-first it finds mt; A* at mt finds ms_at_mt;
    and unless `cheaper_swap_floor` already certifies ms = ms_at_mt, one
    more A* over ms_at_mt - 1 steps decides whether a cheaper solution
-   exists. HiGHS is then asked for one witness: the gate-coverage
-   program at mt steps with its swaps capped at ms_at_mt or, for a
-   cheaper optimum s, the one-swap-per-step program at s steps with every
-   step pinned active.
+   exists. The goal state each search reaches is its witness: the
+   solution is rebuilt from the search's path, so a settled instance
+   builds no model.
 2. Whatever the budget leaves open, HiGHS proves as before: it solves the
    gate-coverage program for increasing t, from the first layer the
    search did not finish, until it turns feasible, which gives mt and ms_at_mt;
@@ -44,8 +43,8 @@ from .solutions import (
     RoutedCircuit,
     SwapSolution,
     TmpInstance,
-    TokenPlacement,
     is_subgraph_placement,
+    validate_swap_solution,
 )
 
 # Work the relative-frame search may spend per solve: hardware matchings
@@ -66,7 +65,6 @@ HARDWARE_PRESETS = {
 class PipelineConfig:
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED
     time_limit: float | None = None  # per solve, seconds
-    use_hardware_symmetry: bool = False
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -109,22 +107,22 @@ class PipelineResult:
 def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
-    The relative-frame search runs first, under SEARCH_BUDGET. What it
-    settles HiGHS only has to witness, with one solve: the phase-2 model
-    capped at the proven swap count with a zero objective or, for a
-    cheaper overall optimum s, the one-swap-per-step model at s steps with
-    every step pinned active. A witness solve that finds nothing
-    contradicts the search and raises RuntimeError.
+    The relative-frame search runs first, under SEARCH_BUDGET
+    (`RelativeFrameSearch.settle`). What it settles needs no model: the
+    solution comes from the goal state the search reached, and one that
+    `validate_swap_solution` rejects, or whose steps or swaps differ from
+    what the search certified, raises RuntimeError.
 
     What the search leaves open HiGHS proves as before. Phase 1 sweeps the
     step count upward from the larger of `step_lower_bound` and the first
-    layer the search did not finish. Phase 3 solves the one-swap-per-step
-    model one step below the phase-2 count with its first steps pinned
-    active (`cheaper_swap_floor`). Placement fixing is derived from the
-    instance: when there is a gate between every pair of the hardware's
-    tokens, each solve fixes the middle placement
-    (`add_complete_placement_fixing`), which keeps the optimum, and
-    symmetry anchoring, which could contradict it, is left off.
+    layer the search did not finish; phase 2 is its first feasible solve.
+    Phase 3 solves the one-swap-per-step model one step below ms_at_mt
+    with its first max(`cheaper_swap_floor`, the search's lower bound)
+    steps pinned active; infeasible, it keeps the ms_at_mt solution.
+    Placement fixing is derived from the instance: when there is a gate
+    between every pair of the hardware's tokens, each solve fixes the
+    middle placement (`add_complete_placement_fixing`), which keeps the
+    optimum.
 
     Disconnected hardware is solved when the search settles all three
     numbers; a search that proves no solution exists raises
@@ -133,11 +131,11 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
 
     On a solver timeout the result carries whatever was established, with
     the optimality flags of the missing pieces left False. `timings` holds
-    the wall time of the search and of each phase's model builds, solves
-    and decodes: `find_min_steps` covers the infeasible probes,
-    `min_swaps_at_min_steps` the first feasible one (or the witness) and
-    `min_swaps_overall` the phase-3 solve. `notes` names the certificate of
-    each number: a bound, the search with the work it spent, or a HiGHS solve.
+    the wall time of the search and of each HiGHS phase's model builds,
+    solves and decodes: `find_min_steps` covers the infeasible probes,
+    `min_swaps_at_min_steps` the first feasible one and `min_swaps_overall`
+    the phase-3 solve. `notes` names the certificate of each number: a
+    bound, the search with the work it spent, or a HiGHS solve.
     """
     cfg = cfg or PipelineConfig()
     res = PipelineResult()
@@ -155,12 +153,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
 
     t0 = time.monotonic()
     search = RelativeFrameSearch(inst, SEARCH_BUDGET)
-    steps = search.min_steps()
-    at_mt = cheaper = None
-    if steps.exact and steps.value >= 0:
-        at_mt = search.min_swaps_within(steps.value)
-        if at_mt.exact and at_mt.value > cheaper_swap_floor(inst, steps.value):
-            cheaper = search.cheaper_swaps(at_mt.value)
+    steps, at_mt, cheaper = search.settle()
     res.timings["search"] = time.monotonic() - t0
     if steps.exact and steps.value < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
@@ -170,21 +163,17 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
             "hardware graph must be connected unless the search settles the "
             f"instance within its budget of {SEARCH_BUDGET}"
         )
-    # a cheaper solution found by the search (cheaper.value < ms_at_mt)
-    found = cheaper.value if cheaper is not None and cheaper.exact else -1
+    fixing = inst.algorithm_is_complete()
 
-    fixing = inst.algorithm_is_complete() and inst.algorithm.n == inst.hardware.n
-    symmetry = cfg.use_hardware_symmetry and not fixing
-
-    if found >= 0:
-        # ms < ms_at_mt, so the phase-3 witness is the only solution needed
+    if at_mt is not None and at_mt.exact:
         res.mt, res.ms_at_mt = steps.value, at_mt.value
         res.mt_optimal = res.ms_at_mt_optimal = True
+        res.swap_solution = _search_witness(search, at_mt, res.mt)
         res.notes.append(f"certified by search: mt = {res.mt} (work {steps.work})")
         res.notes.append(
             f"certified by search: ms_at_mt = {res.ms_at_mt} (work {at_mt.work})"
         )
-    elif not _steps_and_swaps_at_mt(inst, cfg, res, steps, at_mt, fixing, symmetry):
+    elif not _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing):
         return res
 
     floor = cheaper_swap_floor(inst, res.mt)
@@ -196,35 +185,31 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
             f"so {res.ms_at_mt} is optimal"
         )
         return res
-    if cheaper is not None and cheaper.exact and found < 0:
-        res.ms = res.ms_at_mt
+    if cheaper is not None and cheaper.exact:
         res.ms_optimal = True
-        res.notes.append(
-            f"certified by search: no solution has fewer than {res.ms_at_mt} swaps "
-            f"(work {cheaper.work})"
-        )
+        if cheaper.value < 0:
+            res.ms = res.ms_at_mt
+            res.notes.append(
+                f"certified by search: no solution has fewer than {res.ms_at_mt} swaps "
+                f"(work {cheaper.work})"
+            )
+        else:
+            res.ms = cheaper.value
+            res.swap_solution = _search_witness(search, cheaper, res.ms_at_mt - 1)
+            res.notes.append(f"certified by search: ms = {res.ms} (work {cheaper.work})")
         return res
 
     # A cheaper solution, serialized, fits in ms_at_mt - 1 single-swap steps
     # and activates at least as many of them as it has swaps
     # (`cheaper_swap_floor`); steps_ordered makes the active steps a prefix,
-    # so those may be pinned to 1. Symmetry anchoring and placement fixing
-    # only relabel nodes or tokens, which keeps the active steps. When the
-    # search found the optimum, the model at that many steps with every step
-    # pinned only has to produce a witness.
-    if found >= 0:
-        target = pinned = found
-    else:
-        target = res.ms_at_mt - 1
-        pinned = floor if cheaper is None else max(floor, cheaper.value)
+    # so those may be pinned to 1. Placement fixing only relabels tokens,
+    # which keeps the active steps.
+    target = res.ms_at_mt - 1
+    pinned = floor if cheaper is None else max(floor, cheaper.value)
     t0 = time.monotonic()
     model = build_swap_step_model(inst, steps=target)
     for t in range(1, pinned + 1):
         model.fix_var(f"s_t{t}", 1.0)
-    if symmetry:
-        from .milp.models import add_hardware_symmetry
-
-        add_hardware_symmetry(model, inst, steps=target)
     if fixing:
         from .milp.models import add_complete_placement_fixing
 
@@ -234,10 +219,6 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         step_solution = decode_solution(inst, step_result, steps=target)
     res.timings["min_swaps_overall"] = time.monotonic() - t0
     if step_result.status == "infeasible":
-        if found >= 0:
-            raise RuntimeError(
-                f"HiGHS finds no {found}-swap witness, where the search found one"
-            )
         res.ms = res.ms_at_mt
         res.ms_optimal = True
         res.notes.append(
@@ -253,59 +234,51 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         return res
     res.ms = int(round(step_result.objective))
     res.ms_optimal = True
-    if found >= 0:
-        res.notes.append(f"certified by search: ms = {res.ms} (work {cheaper.work})")
-    else:
-        res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
+    res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
     res.swap_solution = step_solution.compacted()
     return res
 
 
-def _steps_and_swaps_at_mt(inst, cfg, res, steps, at_mt, fixing, symmetry) -> bool:
+def _search_witness(search: RelativeFrameSearch, out, max_steps: int) -> SwapSolution:
+    """The solution of the search's goal state; RuntimeError unless it is
+    valid, within max_steps steps and has exactly out.value swaps."""
+    solution = search.witness(out)
+    check = None if solution is None else validate_swap_solution(search.inst, solution)
+    if check is None or not check.valid or check.steps > max_steps or check.swaps != out.value:
+        raise RuntimeError(f"the search's witness contradicts its {out.value} swaps: {check}")
+    return solution
+
+
+def _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing) -> bool:
     """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
     res, or add a timeout note and return False.
 
-    What the search proved narrows the work. An exact mt is the first
-    horizon tried, and an exact ms_at_mt caps the swaps, which leaves
-    HiGHS only a witness to find; otherwise the sweep starts at the first
-    layer the search did not finish.
+    An exact mt from the search is the only horizon tried; otherwise the
+    sweep starts at the first layer the search did not finish.
     """
     # phase 0, the embedding check, is the search's first layer: mt >= 1
     start = steps.value if steps.exact else max(step_lower_bound(inst), steps.value, 1)
-    witness_cap = at_mt.value if at_mt is not None and at_mt.exact else None
-    t_cap = inst.hardware.n * inst.hardware.n
+    t_cap = start if steps.exact else inst.hardware.n * inst.hardware.n
     phase1 = 0.0
     attempt = None
     t = start
     while t <= t_cap:
         t0 = time.monotonic()
         a = solve_min_swaps_at(
-            inst, t, cfg.variant, time_limit=cfg.time_limit,
-            use_symmetry=symmetry, use_fixing=fixing, max_swaps=witness_cap,
+            inst, t, cfg.variant, time_limit=cfg.time_limit, use_fixing=fixing,
         )
         probe = time.monotonic() - t0
         if a.status == "timeout":
             res.timings["find_min_steps"] = phase1 + probe
-            task = "probing" if witness_cap is None else "finding a witness at"
-            res.notes.append(f"solve timed out while {task} {t} steps")
+            res.notes.append(f"solve timed out while probing {t} steps")
             return False
         if a.status == "optimal":
             attempt = a
             break
-        if steps.exact:
-            raise RuntimeError(
-                f"HiGHS reports status {a.status} at {t} steps, where the search "
-                "found a solution"
-            )
         phase1 += probe
         t += 1
     if attempt is None:
         raise RuntimeError(f"no feasible step count up to {t_cap}")
-    if witness_cap is not None and attempt.swaps != witness_cap:
-        raise RuntimeError(
-            f"HiGHS witness has {attempt.swaps} swaps at {t} steps, "
-            f"where the search proved {witness_cap}"
-        )
     res.timings["find_min_steps"] = phase1
     res.timings["min_swaps_at_min_steps"] = probe
     res.mt = t
@@ -323,10 +296,7 @@ def _steps_and_swaps_at_mt(inst, cfg, res, steps, at_mt, fixing, symmetry) -> bo
         )
     else:
         res.notes.append(f"certified by bound: mt = {t}, the step lower bound")
-    if witness_cap is not None:
-        res.notes.append(f"certified by search: ms_at_mt = {witness_cap} (work {at_mt.work})")
-    else:
-        res.notes.append(f"certified by phase-2 solve: ms_at_mt = {res.ms_at_mt}")
+    res.notes.append(f"certified by phase-2 solve: ms_at_mt = {res.ms_at_mt}")
     return True
 
 

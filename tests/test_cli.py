@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import commroute.pipeline as pipeline
 import commroute.scheduler as scheduler
 from commroute.cli import main
 from commroute.graphs import Graph, complete_graph, path_graph, star_graph
@@ -190,7 +191,8 @@ def test_unknown_flag_is_input_error(capsys):
     ["solve", "--fixing", "off"],
     ["route", "--fixing", "on"],
     ["schedule", "--greedy"],
-], ids=["no-step-bound", "fixing-off", "fixing-on", "greedy"])
+    ["solve", "--symmetry"],
+], ids=["no-step-bound", "fixing-off", "fixing-on", "greedy", "symmetry"])
 def test_removed_flags_are_input_errors(capsys, tmp_path, tiny_instance, flags):
     command, *rest = flags
     argv = [command, tiny_instance]
@@ -204,11 +206,15 @@ def test_removed_flags_are_input_errors(capsys, tmp_path, tiny_instance, flags):
     assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
 
 
-def test_timeout_exit_code(capsys, tmp_path):
+def test_timeout_exit_code(capsys, tmp_path, monkeypatch):
+    # no search budget, and every HiGHS solve times out
     inst = TmpInstance(path_graph(6), star_graph(6))
     path = tmp_path / "big.json"
     path.write_text(json.dumps(inst.to_dict()))
-    code, payload, _ = run(capsys, "solve", str(path), "--time-limit", "0.01")
+    monkeypatch.setattr(pipeline, "SEARCH_BUDGET", 0)
+    monkeypatch.setattr(pipeline.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("timeout"))
+    code, payload, _ = run(capsys, "solve", str(path))
     assert code == 3
     assert not payload["ms_optimal"]
 

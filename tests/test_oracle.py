@@ -23,7 +23,7 @@ from commroute.oracle import (
     oracle_min_swaps_at,
 )
 from commroute.pipeline import generate_instance
-from commroute.solutions import TmpInstance, embed_within
+from commroute.solutions import TmpInstance, embed_within, validate_swap_solution
 
 from conftest import brute_swaps_within, random_connected_graph, random_tree
 
@@ -145,6 +145,20 @@ def test_relative_frame_matches_brute_force():
             mt = next(t for t, v in enumerate(want) if v is not None)
             seen.add(f"mt={mt}")
             assert oracle_min_steps(inst) == mt
+        # every exact answer's goal state rebuilds into a solution that attains it
+        search = RelativeFrameSearch(inst)
+        outcomes = [(search.min_steps(), None)]
+        outcomes += [(search.min_swaps_within(t), t) for t in range(horizon + 1)]
+        for out, steps in outcomes:
+            assert out.exact
+            if out.value < 0:
+                assert out.path == ()
+                continue
+            check = validate_swap_solution(inst, search.witness(out))
+            assert check.valid, (inst.hardware.edges, inst.algorithm.edges, out)
+            assert check.steps <= (out.value if steps is None else steps)
+            if steps is not None:
+                assert check.swaps == out.value
     assert seen == {"infeasible", "mt=0", "mt=1", "mt=2", "mt=3"}
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import commroute._search_py as search_kernel
 import commroute.milp.models as milp_models
 import commroute.pipeline as pipeline_module
 import commroute.scheduler as scheduler
@@ -11,7 +12,6 @@ import commroute.scheduler as scheduler
 from commroute.bounds import cheaper_swap_floor, swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 from commroute.milp import SolveResult
-from commroute.milp.models import SolveAttempt
 from commroute.oracle import (
     InfeasibleInstanceError,
     RelativeFrameSearch,
@@ -39,19 +39,29 @@ def highs_only(monkeypatch):
     monkeypatch.setattr(pipeline_module, "SEARCH_BUDGET", 0)
 
 
-def test_worked_example():
+@pytest.fixture
+def no_highs(monkeypatch):
+    """Any HiGHS solve fails the test: the search must settle everything."""
+    def refuse(self, model, time_limit=None):
+        raise AssertionError("HiGHS ran on an instance the search settles")
+
+    monkeypatch.setattr(pipeline_module.ScipyBackend, "solve", refuse)
+
+
+def test_worked_example(no_highs):
     inst = TmpInstance(path_graph(6), star_graph(6))
     res = solve_min_swaps(inst)
     assert (res.mt, res.ms_at_mt, res.ms) == (2, 4, 3)
     assert res.complete
     assert validate_swap_solution(inst, res.swap_solution).valid
     assert res.swap_solution.swaps == 3
-    # the search settles all three numbers; HiGHS only finds the 3-swap witness
+    # the search settles all three numbers and its goal state is the witness
     claims = ["mt = 2 (work", "ms_at_mt = 4 (work", "ms = 3 (work"]
     assert len(res.notes) == 3
     for note, claim in zip(res.notes, claims):
         assert note.startswith("certified by search: " + claim), note
-    assert "search" in res.timings and "min_swaps_overall" in res.timings
+    assert "search" in res.timings
+    assert "min_swaps_overall" not in res.timings
     assert "min_swaps_at_min_steps" not in res.timings
 
 
@@ -93,7 +103,7 @@ def test_phase_three_skipped_when_tight():
         assert any(note.startswith("certified by bound") for note in res.notes)
 
 
-def test_timings_include_model_build(monkeypatch):
+def test_timings_include_model_build(monkeypatch, highs_only):
     build = milp_models.build_variant
 
     def slow_build(*args, **kwargs):
@@ -157,14 +167,15 @@ SEARCH_SEEDS = (8, 28, 61, 102)
 
 
 @pytest.mark.parametrize("seed", GAP_SEEDS + SEARCH_SEEDS)
-def test_search_certifies_tree_dense_instances(seed):
+def test_search_certifies_tree_dense_instances(seed, no_highs):
     inst = _tree_dense_instance(seed)
     res = solve_min_swaps(inst)
     assert res.complete
     assert (res.mt, res.ms_at_mt, res.ms) == _oracle_profile(inst)
-    assert validate_swap_solution(inst, res.swap_solution).swaps == res.ms
+    check = validate_swap_solution(inst, res.swap_solution)
+    assert check.valid and check.swaps == res.ms
     assert all(note.startswith("certified by search") for note in res.notes), res.notes
-    assert res.timings["find_min_steps"] == 0
+    assert "find_min_steps" not in res.timings
     assert "min_swaps_overall" not in res.timings
 
 
@@ -179,10 +190,7 @@ def test_partial_search_budgets_match_oracle(monkeypatch):
         want = _oracle_profile(inst)
         # the work of the pipeline's searches when they all finish
         search = RelativeFrameSearch(inst)
-        search.min_steps()
-        search.min_swaps_within(want[0])
-        if want[1] > cheaper_swap_floor(inst, want[0]):
-            search.cheaper_swaps(want[1])
+        search.settle()
         for budget in (search.work // 4, search.work // 2, search.work - 1):
             monkeypatch.setattr(pipeline_module, "SEARCH_BUDGET", budget)
             res = solve_min_swaps(inst)
@@ -191,28 +199,20 @@ def test_partial_search_budgets_match_oracle(monkeypatch):
             assert validate_swap_solution(inst, res.swap_solution).swaps == res.ms
 
 
-def test_witness_solve_that_finds_nothing_raises(monkeypatch):
-    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
-                        lambda *args, **kwargs: SolveAttempt("infeasible", None, None))
-    with pytest.raises(RuntimeError, match="search"):
-        solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+@pytest.mark.parametrize("wrong", [lambda path: path[:-1], lambda path: path + path[-1:]],
+                         ids=["last-matching-dropped", "last-matching-repeated"])
+def test_search_witness_that_contradicts_its_value_raises(monkeypatch, wrong):
+    # the right swap count with a path whose U misses a gate, or whose
+    # solution is valid but has one matching too many
+    right = search_kernel.min_swaps_within
 
+    def wrong_path(*args, **kwargs):
+        out = right(*args, **kwargs)
+        return out._replace(path=wrong(out.path))
 
-def test_witness_timeout_leaves_the_result_partial(monkeypatch):
-    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
-                        lambda *args, **kwargs: SolveAttempt("timeout", None, None))
-    res = solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
-    assert res.notes == ["solve timed out while finding a witness at 1 steps"]
-    assert res.mt is None and res.swap_solution is None
-    assert not (res.mt_optimal or res.ms_at_mt_optimal or res.ms_optimal)
-
-
-def test_phase_three_witness_that_finds_nothing_raises(monkeypatch):
-    # the search finds 3 < ms_at_mt = 4 swaps, so the step-count model is a witness solve
-    monkeypatch.setattr(pipeline_module.ScipyBackend, "solve",
-                        lambda self, model, time_limit=None: SolveResult("infeasible"))
+    monkeypatch.setattr(search_kernel, "min_swaps_within", wrong_path)
     with pytest.raises(RuntimeError, match="witness"):
-        solve_min_swaps(TmpInstance(path_graph(6), star_graph(6)))
+        solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
 
 
 def _two_components(*paths: int) -> Graph:
@@ -275,9 +275,11 @@ def test_invariant_chain(rng):
         assert res.mt <= res.ms <= res.ms_at_mt <= (n // 2) * max(res.mt, 1)
 
 
-def test_timeout_yields_partial_result():
+def test_timeout_yields_partial_result(monkeypatch, highs_only):
+    monkeypatch.setattr(pipeline_module.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("timeout"))
     inst = TmpInstance(path_graph(6), star_graph(6))
-    res = solve_min_swaps(inst, PipelineConfig(time_limit=0.01))
+    res = solve_min_swaps(inst)
     assert not res.complete
     assert not (res.mt_optimal and res.ms_at_mt_optimal and res.ms_optimal)
     assert any("timed out" in note for note in res.notes)
