@@ -3,7 +3,7 @@
 `_model_arrays` turns the model into the arrays scipy takes, with the
 constraint matrix in compressed sparse rows. `ScipyBackend` solves the
 integer program with `scipy.optimize.milp`; `solve_lp_relaxation` solves
-its continuous relaxation with dual simplex.
+its continuous relaxation by interior point with crossover (vertex optima).
 """
 
 from __future__ import annotations
@@ -119,25 +119,29 @@ class ScipyBackend:
 
 
 def solve_lp_relaxation(model: MilpModel) -> SolveResult:
-    """Solve the continuous relaxation with dual simplex (vertex optima)."""
-    from scipy import sparse
+    """Solve the continuous relaxation by interior point with crossover (vertex optima).
+
+    scipy's `highs-ipm` always runs crossover, so it returns a basic optimum,
+    a vertex, as dual simplex does; criterion 08 needs that, because only a
+    vertex optimum over an integral polytope is sure to be integral.
+    """
     from scipy.optimize import linprog
 
     start = time.monotonic()
     c, lb, ub, _, a, lo, hi = _model_arrays(model)
     eq = lo == hi
-    leq = np.isfinite(hi) & ~eq
-    geq = np.isfinite(lo) & ~eq
-    a_ub = sparse.vstack([a[leq], -a[geq]]) if (leq.any() or geq.any()) else None
-    b_ub = np.concatenate([hi[leq], -lo[geq]]) if a_ub is not None else None
+    ineq = ~eq  # one finite side each; ">=" rows are negated into "<="
+    flip = np.isinf(hi[ineq])
+    a_ub = a[ineq]
+    a_ub.data[np.repeat(flip, np.diff(a_ub.indptr))] *= -1.0
     res = linprog(
         c,
         A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a[eq] if eq.any() else None,
-        b_eq=lo[eq] if eq.any() else None,
-        bounds=list(zip(lb, ub)),
-        method="highs-ds",
+        b_ub=np.where(flip, -lo[ineq], hi[ineq]),
+        A_eq=a[eq],
+        b_eq=lo[eq],
+        bounds=np.column_stack([lb, ub]),
+        method="highs-ipm",
     )
     elapsed = time.monotonic() - start
     return _solve_result(model, c, res, elapsed)

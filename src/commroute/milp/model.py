@@ -90,10 +90,11 @@ class MilpModel:
         v.lb = v.ub = value
 
     def _resolve_terms(self, terms) -> tuple[tuple[int, float], ...]:
+        index, n = self._index, len(self.variables)
         combined: dict[int, float] = {}
         for ref, coeff in terms:
-            idx = ref if isinstance(ref, int) else self._index[ref]
-            if not (0 <= idx < len(self.variables)):
+            idx = ref if isinstance(ref, int) else index[ref]
+            if not (0 <= idx < n):
                 raise ValueError(f"constraint references unknown variable index {idx}")
             combined[idx] = combined.get(idx, 0.0) + float(coeff)
         return tuple((i, c) for i, c in sorted(combined.items()) if c != 0.0)

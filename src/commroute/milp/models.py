@@ -195,11 +195,20 @@ def add_gate_constraints(
         model.add_constr(
             f"gate_cover_g{g}", [(_z(t, g), 1.0) for t in range(1, T + 1)], ">=", 1.0
         )
+    # each row's nonzero support, found once rather than once per (t, g)
+    supports = [
+        (
+            cc,
+            [(j, c) for j, c in enumerate(cc.x_coeffs) if c != 0.0],
+            [(j, c) for j, c in enumerate(cc.y_coeffs) if c != 0.0],
+        )
+        for cc in covering
+    ]
     for t in range(1, T + 1):
         for g, (p, q) in enumerate(gates):
-            for cc in covering:
-                terms = [(_w(t, p, j), c) for j, c in enumerate(cc.x_coeffs) if c != 0.0]
-                terms += [(_w(t, q, j), c) for j, c in enumerate(cc.y_coeffs) if c != 0.0]
+            for cc, x_support, y_support in supports:
+                terms = [(_w(t, p, j), c) for j, c in x_support]
+                terms += [(_w(t, q, j), c) for j, c in y_support]
                 terms.append((_z(t, g), cc.z_coeff))
                 model.add_constr(
                     f"z_{cc.kind}_{cc.side}_t{t}_g{g}_n{cc.node}", terms, "<=", cc.rhs

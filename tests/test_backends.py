@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from commroute.graphs import complete_graph, grid_graph, path_graph
+from commroute.graphs import Graph, complete_graph, grid_graph, path_graph
 from commroute.milp import (
     MilpModel,
     ModelVariant,
     ScipyBackend,
+    build_swap_step_model,
     build_variant,
     solve_lp_relaxation,
 )
@@ -48,7 +49,8 @@ def test_infeasible_detected(backend):
     assert backend.solve(infeasible_model()).status == "infeasible"
 
 
-def test_model_arrays_match_dense_rows():
+def mixed_model():
+    # every sense, a continuous variable and a maximized objective
     m = MilpModel("mixed")
     for name in ("a", "b", "c", "d"):
         m.add_var(name)
@@ -58,7 +60,11 @@ def test_model_arrays_match_dense_rows():
     m.add_constr("eq", [("a", 1), ("b", 1), ("c", 1), ("d", 1)], "==", 2)
     m.add_constr("le2", [("y", -4)], "<=", 0)
     m.set_objective([("a", 5), ("y", -2), ("d", 1)], minimize=False)
+    return m
 
+
+def test_model_arrays_match_dense_rows():
+    m = mixed_model()
     c, lb, ub, integrality, a, lo, hi = _model_arrays(m)
     assert isinstance(a, sparse.csr_array)
     dense = np.zeros((m.num_constraints, m.num_vars))
@@ -95,6 +101,47 @@ def test_lp_relaxation_below_integer_optimum():
     ip = ScipyBackend().solve(model)
     assert lp.status == "optimal"
     assert lp.objective <= ip.objective + 1e-9
+
+
+def test_lp_relaxation_returns_a_vertex():
+    # with a zero objective every feasible point is optimal; the polytope is
+    # integral (criterion 08), so only a vertex optimum is integral
+    inst = TmpInstance(path_graph(3), Graph(3, [(0, 1)]))
+    model = build_variant(inst, ModelVariant.PAIR_AGGREGATED, steps=0)
+    model.set_objective([])
+    lp = solve_lp_relaxation(model)
+    assert lp.status == "optimal"
+    assert all(abs(x - round(x)) < 1e-9 for x in lp.values.values()), lp.values
+
+
+@pytest.mark.parametrize("case", [*(v.value for v in ModelVariant), "swap-step", "mixed"])
+def test_lp_relaxation_matches_dual_simplex(case):
+    from scipy.optimize import linprog
+
+    inst = TmpInstance(grid_graph(2, 3), complete_graph(6))
+    if case == "mixed":
+        model = mixed_model()
+    elif case == "swap-step":
+        model = build_swap_step_model(inst, steps=1)
+    else:
+        model = build_variant(inst, ModelVariant.from_string(case), steps=1)
+    c, lb, ub, _, a, lo, hi = _model_arrays(model)
+    eq = lo == hi
+    leq = np.isfinite(hi) & ~eq
+    geq = np.isfinite(lo) & ~eq
+    ref = linprog(
+        c,
+        A_ub=sparse.vstack([a[leq], -a[geq]]),
+        b_ub=np.concatenate([hi[leq], -lo[geq]]),
+        A_eq=a[eq],
+        b_eq=lo[eq],
+        bounds=list(zip(lb, ub)),
+        method="highs-ds",
+    )
+    assert ref.status == 0
+    lp = solve_lp_relaxation(model)
+    assert lp.status == "optimal"
+    assert lp.objective == pytest.approx(ref.fun if model.minimize else -ref.fun, abs=1e-6)
 
 
 def test_scipy_reports_solver_statistics():

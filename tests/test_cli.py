@@ -231,3 +231,34 @@ def test_route_schedule_timeout_exit_code(capsys, tmp_path, monkeypatch):
     assert payload["ms_optimal"]
     assert payload["routed_circuit"] is None
     assert "schedule solve ended with status timeout" in payload["notes"]
+
+
+def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
+    monkeypatch.setattr(scheduler.ScipyBackend, "solve",
+                        lambda self, model, time_limit=None: SolveResult("timeout"))
+    code, payload, _ = run(capsys, "schedule", tiny_instance, str(sol))
+    assert code == 3
+    assert payload == {"error": "schedule solve ended with status timeout"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--density", "1.5"], "density"),
+    (["heuristic", "--hardware", "custom"], "--hardware-file"),
+    (["oracle", "{instance}", "--node-limit", "0"], "oracle limit is 0"),
+    (["ingest", "{gates}"], "expected two qubit labels"),
+    (["bounds", "{gates}"], "is not valid JSON"),
+    (["schedule", "{instance}", "{solution}"], "initial placement has size 2, expected 3"),
+], ids=["generate-density", "heuristic-no-file", "oracle-node-limit", "ingest-one-label",
+        "bounds-bad-instance", "schedule-wrong-size"])
+def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
+    gates = tmp_path / "gates.txt"
+    gates.write_text("a b\nc\n")
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"initial": [0, 1], "matchings": []}))
+    argv = [a.format(instance=tiny_instance, gates=gates, solution=solution) for a in argv]
+    code, payload, err = run(capsys, *argv)
+    assert code == 4
+    assert payload is None
+    assert message in json.loads(err)["error"]
