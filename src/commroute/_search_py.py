@@ -1,8 +1,8 @@
-"""Search kernel behind the exhaustive oracle: one relative-frame search.
+"""Search kernel behind the exhaustive oracle: one search in the node frame.
 
 Name each token by the node it starts on, its label. A swap step exchanges
 the tokens on its matched node pairs whatever those tokens are, so a
-sequence of matchings M1 .. Mt moves the labels the same way for every
+sequence of matchings m1 .. mt moves the labels the same way for every
 start placement: after step s the labels sit in a placement L_s that
 depends on the matchings alone, with L_0 the identity. Let U be the set of
 label pairs {a, b} that sit on the two ends of some hardware edge in some
@@ -26,35 +26,55 @@ k-node gate graph into ([n], U) is exactly such a map: the leftover labels
 are the dummies. Labels on different components of a disconnected
 hardware graph never meet, which U records like any other absent pair.
 
-A state is (tok_at, mask):
- - tok_at is the label placement, the label sitting on each node, kept as
-   a tuple so it serves directly as the key of the visited table
- - mask is U, a bitmask over the n(n-1)/2 label pairs; pair_bit maps
-   a * n + b to the bit of {a, b}
+The node frame. The search keeps neither L_s nor U but U seen from the
+nodes: M = L_s^-1(U) = {{i, j} : the labels now on nodes i and j have
+met}. At the start the labels on the ends of each hardware edge have met,
+so M_0 = E(H). A step with matching m moves the label on node i to
+sigma_m(i), where sigma_m swaps the two ends of each matched edge, and then
+the labels on the ends of each hardware edge meet:
+M' = sigma_m(M) | E(H). So M' depends on M and m alone, not on L. The goal
+test depends on M alone too: L_s is a bijection, so it is an isomorphism
+from ([n], M) onto ([n], U), the gate graph embeds into one exactly when
+it embeds into the other, and |M| = |U|. Every state (L, U) with the same
+L^-1(U) therefore has the same successors, step for step, and the same
+goal answers, and M is the whole state. Each M contains E(H), so there are
+finitely many.
 
-The goal test, "the gate graph embeds into U", is monotone in U: a larger
-U keeps every embedding. So a state is dropped when another state at the
-same placement has a superset mask and no more steps (and swaps): the
-antichain dominance below. A U with fewer pairs than there are gates
-cannot hold the gate graph and is rejected without the embedding check;
-the check itself is memoised per U.
+M is a bitmask over the n(n-1)/2 node pairs; pair_bit maps i * n + j to
+the bit of {i, j}. Swapping nodes u and v exchanges the bits of {u, x} and
+{v, x} for every other node x and keeps every other bit. The exchanges of
+one edge that move bits the same distance d apart form one delta swap,
+t = ((M >> d) ^ M) & low; M ^= t | (t << d), with low marking the lower
+bit of each exchanged pair: the 2(n - 2) bits involved are distinct, so
+no bit is both a low and a high one. Counting pairs in lexicographic
+order, the nodes below u share one distance and the nodes above v
+another, so an edge needs at most v - u + 1 delta swaps. A matching
+applies those of its edges one edge after another.
+
+A U with fewer pairs than there are gates cannot hold the gate graph and
+is rejected without the embedding check; the check itself is memoised per
+mask. Breadth-first keeps the set of masks it has seen. A* keeps per mask
+the Pareto list of (steps, swaps) it has admitted and drops a state when
+an entry of the same mask has no more steps and no more swaps: that entry
+can follow whatever continuation the dropped state has, at no more cost.
 
 Witness. Each frontier or heap entry carries a link (parent link,
 matching index), and a goal state returns the matching indices along its
 links as Outcome.path. Replaying them from the identity placement
-rebuilds the goal's U, and by the soundness argument any embedding of the
+rebuilds the goal's U, which is its M relabelled by L_t, so it holds the
+gate graph as M does; by the soundness argument any embedding of the
 gate graph into ([n], U), dummies on the leftover labels, is a start
-placement from which the sequence realizes every gate. The visited table
-keeps no links.
+placement from which the sequence realizes every gate. The seen set and
+the Pareto lists keep no links.
 
 One swap on hardware edge {i, j} makes at most swap_capacity label pairs
 adjacent that were not adjacent before (bounds.max_gain_per_swap), and so
-adds at most that many pairs to U; step_capacity bounds a whole step the
-same way (bounds.max_gain_per_step). Hence ceil((gates - |U|) /
-swap_capacity) is an admissible A* heuristic and states that cannot gain
-gates - |U| pairs in the remaining steps are pruned. The state space is
-finite and dominance only drops states, so an infeasible input ends with
-an exhausted frontier.
+adds at most that many pairs to U, and to M, which has as many pairs;
+step_capacity bounds a whole step the same way (bounds.max_gain_per_step).
+Hence ceil((gates - |M|) / swap_capacity) is an admissible A* heuristic
+and states that cannot gain gates - |M| pairs in the remaining steps are
+pruned. The state space is finite and dominance only drops states, so an
+infeasible input ends with an exhausted frontier.
 
 Budget. Both searches take an optional budget, a cap on their work: the
 successors they generate plus the work the embedding tests report. Work
@@ -62,10 +82,11 @@ is never time, so a budgeted run stops at the same point on every run.
 A search that runs out returns a proven lower bound instead of the
 optimum. Breadth-first, every layer before the one being generated has
 been checked, so no solution has fewer steps than that layer's depth. In
-A*, some open state lies on an optimal sequence or dominates a state that
-does, and its f = g + h is at most the optimum because h is admissible
-and a superset mask has fewer missing pairs; so the smallest f on the
-heap, the f of the state about to be expanded, is a lower bound.
+A*, some open state lies on an optimal sequence, or has the same mask as
+a state that does with no more steps and no more swaps, and so lies on a
+sequence that is optimal too. Its f = g + h is at most the optimum,
+because h is admissible and depends on the mask alone; so the smallest f
+on the heap, the f of the state about to be expanded, is a lower bound.
 """
 
 from __future__ import annotations
@@ -95,13 +116,6 @@ def _path(link) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _coverage(tok_at, hw_edges, pair_bit, n: int) -> int:
-    mask = 0
-    for k in range(0, len(hw_edges), 2):
-        mask |= 1 << pair_bit[tok_at[hw_edges[k]] * n + tok_at[hw_edges[k + 1]]]
-    return mask
-
-
 def _goal_test(num_gates: int, embeds):
     """The memoised test "the gate graph embeds into U" for a pair mask U.
 
@@ -125,63 +139,75 @@ def _goal_test(num_gates: int, embeds):
     return reached
 
 
-def _push_mask(masks: list[int], c: int) -> bool:
-    """Add c to an antichain of bitmasks; False if something already covers it."""
-    for m in masks:
-        if m & c == c:
-            return False
-    masks[:] = [m for m in masks if m & c != m]
-    masks.append(c)
-    return True
+def _step_tables(n, matchings, hw_edges, pair_bit):
+    """The E(H) mask and, per matching, the (shift, low mask) delta swaps
+    that apply sigma_m to a node-pair mask."""
+    base = 0
+    per_edge: dict[int, list[tuple[int, int]]] = {}
+    for k in range(0, len(hw_edges), 2):
+        u, v = hw_edges[k], hw_edges[k + 1]
+        base |= 1 << pair_bit[u * n + v]
+        low: dict[int, int] = {}
+        for x in range(n):
+            if x != u and x != v:
+                a, b = sorted((pair_bit[u * n + x], pair_bit[v * n + x]))
+                low[b - a] = low.get(b - a, 0) | 1 << a
+        per_edge[u * n + v] = list(low.items())
+    steps = []
+    for m in matchings:
+        swaps = []
+        for k in range(0, len(m), 2):
+            swaps += per_edge[m[k] * n + m[k + 1]]
+        steps.append(swaps)
+    return base, steps
 
 
 def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budget=inf):
-    """Fewest swap steps until the gate graph embeds into U.
-
-    The value is -1 when the search space is exhausted without reaching the
-    goal. No depth limit is needed: every admitted state enlarges the
-    down-closed set of masks kept for its placement, which can happen only
-    finitely often.
+    """Fewest swap steps from the start masks until the gate graph embeds
+    into M; -1 when the search space is exhausted without reaching the goal.
+    No depth limit is needed: each mask is admitted once, and there are
+    finitely many.
     """
     work = 0
     reached = _goal_test(num_gates, embeds)
-    visited: dict[tuple[int, ...], list[int]] = {}
-    frontier: list[tuple[list[int], int, tuple | None]] = []
-    for s in starts:
-        tok = list(s)
-        c = _coverage(tok, hw_edges, pair_bit, n)
-        hit, spent = reached(c, budget - work)
+    base, steps = _step_tables(n, matchings, hw_edges, pair_bit)
+    seen: set[int] = set()
+    frontier: list[tuple[int, tuple | None]] = []
+    for mask in starts:
+        hit, spent = reached(mask, budget - work)
         work += spent
         if hit is None:
             return Outcome(0, False, work)
         if hit:
             return Outcome(0, True, work)
-        if _push_mask(visited.setdefault(tuple(s), []), c):
-            frontier.append((tok, c, None))
+        if mask not in seen:
+            seen.add(mask)
+            frontier.append((mask, None))
     depth = 0
     while frontier:
         depth += 1
-        nxt: list[tuple[list[int], int, tuple | None]] = []
-        for tok, cov, link in frontier:
-            if work + len(matchings) > budget:
+        nxt: list[tuple[int, tuple | None]] = []
+        for mask, link in frontier:
+            if work + len(steps) > budget:
                 return Outcome(depth, False, work)
-            work += len(matchings)
-            for mi, m in enumerate(matchings):
-                t2 = tok.copy()
-                for k in range(0, len(m), 2):
-                    u, v = m[k], m[k + 1]
-                    t2[u], t2[v] = t2[v], t2[u]
-                c2 = cov | _coverage(t2, hw_edges, pair_bit, n)
-                # an unchanged U already failed the test at its parent
-                if c2 != cov:
-                    hit, spent = reached(c2, budget - work)
-                    work += spent
-                    if hit is None:
-                        return Outcome(depth, False, work)
-                    if hit:
-                        return Outcome(depth, True, work, _path((link, mi)))
-                if _push_mask(visited.setdefault(tuple(t2), []), c2):
-                    nxt.append((t2, c2, (link, mi)))
+            work += len(steps)
+            for mi, swaps in enumerate(steps):
+                m2 = mask
+                for d, low in swaps:
+                    t = ((m2 >> d) ^ m2) & low
+                    m2 ^= t | t << d
+                m2 |= base
+                # every seen mask already failed the test
+                if m2 in seen:
+                    continue
+                seen.add(m2)
+                hit, spent = reached(m2, budget - work)
+                work += spent
+                if hit is None:
+                    return Outcome(depth, False, work)
+                if hit:
+                    return Outcome(depth, True, work, _path((link, mi)))
+                nxt.append((m2, (link, mi)))
         frontier = nxt
     return Outcome(-1, True, work)
 
@@ -189,27 +215,25 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
 def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds,
                      max_steps, swap_capacity, step_capacity, budget=inf, max_swaps=inf):
     """Fewest swaps over sequences of at most max_steps steps (and at most
-    max_swaps swaps) whose U holds the gate graph; -1 if none.
+    max_swaps swaps) whose M holds the gate graph; -1 if none.
 
-    swap_capacity bounds how many new pairs one swap can add to U and feeds
+    swap_capacity bounds how many new pairs one swap can add to M and feeds
     an admissible A* heuristic; step_capacity does the same per step and
     prunes states that cannot finish in the remaining steps.
     """
     work = 0
     reached = _goal_test(num_gates, embeds)
+    base, steps = _step_tables(n, matchings, hw_edges, pair_bit)
     sizes = [len(m) // 2 for m in matchings]
-    visited: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    pareto: dict[int, list[tuple[int, int]]] = {}
 
-    def admit(key: tuple[int, ...], cov: int, steps: int, g: int) -> bool:
-        entries = visited.setdefault(key, [])
-        for c2, s2, g2 in entries:
-            if c2 & cov == cov and s2 <= steps and g2 <= g:
+    def admit(mask: int, s: int, g: int) -> bool:
+        entries = pareto.setdefault(mask, [])
+        for s2, g2 in entries:
+            if s2 <= s and g2 <= g:
                 return False
-        entries[:] = [
-            (c2, s2, g2) for c2, s2, g2 in entries
-            if not (cov & c2 == c2 and steps <= s2 and g <= g2)
-        ]
-        entries.append((cov, steps, g))
+        entries[:] = [(s2, g2) for s2, g2 in entries if not (s <= s2 and g <= g2)]
+        entries.append((s, g))
         return True
 
     def heuristic(missing: int) -> int:
@@ -219,51 +243,48 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
             return -1  # unreachable
         return -(-missing // swap_capacity)
 
-    heap: list[tuple[int, int, int, int, tuple[int, ...], int, tuple | None]] = []
+    heap: list[tuple[int, int, int, int, int, tuple | None]] = []
     counter = 0
-    for s in starts:
-        cov = _coverage(s, hw_edges, pair_bit, n)
-        missing = num_gates - cov.bit_count()
+    for mask in starts:
+        missing = num_gates - mask.bit_count()
         h = heuristic(missing)
         if h < 0:
             continue
         if missing > 0 and step_capacity > 0 and missing > max_steps * step_capacity:
             continue
-        key = tuple(s)
-        if admit(key, cov, 0, 0):
-            heapq.heappush(heap, (h, 0, 0, counter, key, cov, None))
+        if admit(mask, 0, 0):
+            heapq.heappush(heap, (h, 0, 0, counter, mask, None))
             counter += 1
     while heap:
-        f, g, steps, _, tok, cov, link = heapq.heappop(heap)
+        f, g, s, _, mask, link = heapq.heappop(heap)
         if f > max_swaps:
             break
-        hit, spent = reached(cov, budget - work)
+        hit, spent = reached(mask, budget - work)
         work += spent
         if hit is None:
             return Outcome(f, False, work)
         if hit:
             return Outcome(g, True, work, _path(link))
-        if steps >= max_steps:
+        if s >= max_steps:
             continue
-        if work + len(matchings) > budget:
+        if work + len(steps) > budget:
             return Outcome(f, False, work)
-        work += len(matchings)
-        for mi, m in enumerate(matchings):
-            t2 = list(tok)
-            for k in range(0, len(m), 2):
-                u, v = m[k], m[k + 1]
-                t2[u], t2[v] = t2[v], t2[u]
-            c2 = cov | _coverage(t2, hw_edges, pair_bit, n)
-            g2 = g + sizes[mi]
-            s2 = steps + 1
-            missing = num_gates - c2.bit_count()
+        work += len(steps)
+        s2 = s + 1
+        for mi, swaps in enumerate(steps):
+            m2 = mask
+            for d, low in swaps:
+                t = ((m2 >> d) ^ m2) & low
+                m2 ^= t | t << d
+            m2 |= base
+            missing = num_gates - m2.bit_count()
             h = heuristic(missing)
             if h < 0:
                 continue
             if missing > 0 and step_capacity > 0 and missing > (max_steps - s2) * step_capacity:
                 continue
-            key = tuple(t2)
-            if admit(key, c2, s2, g2):
-                heapq.heappush(heap, (g2 + h, g2, s2, counter, key, c2, (link, mi)))
+            g2 = g + sizes[mi]
+            if admit(m2, s2, g2):
+                heapq.heappush(heap, (g2 + h, g2, s2, counter, m2, (link, mi)))
                 counter += 1
     return Outcome(-1, True, work)

@@ -6,11 +6,13 @@ exponential: instances above the node limit are refused outright.
 `RelativeFrameSearch` prepares the instance tables and the embedding test
 and runs the searches, optionally under a work budget, which is how the
 pipeline uses it; it also turns a search's goal state into a witness
-`SwapSolution`. The search itself runs once, from the identity
-placement, in the kernel module _search_py, whose docstring proves why
-that one search covers every start placement. The kernel functions are
-looked up on that module at every call, so a wrapper installed on
-_search_py (a profiler or tracer) sees every search.
+`SwapSolution`. The search itself runs once, in the kernel module
+_search_py, over graphs on the hardware nodes: a state is the set of node
+pairs whose tokens have met, which starts as the hardware edges. The
+kernel's docstring proves why that one search covers every start placement
+and why the labels the tokens carry need not be part of the state. The
+kernel functions are looked up on that module at every call, so a wrapper
+installed on _search_py (a profiler or tracer) sees every search.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def _check_size(inst: TmpInstance, node_limit: int) -> None:
 class RelativeFrameSearch:
     """The kernel's two searches on one instance, under one work budget.
 
+    A state is the set of node pairs whose tokens have met, a bitmask
+    starting at the hardware edges; a step permutes it by the matching and
+    adds the hardware edges again. A goal state's path of matchings
+    replays into the label frame for `witness`.
+
     Work counts the hardware matchings enumerated, the successors the
-    searches generate, and for each embedding test the label pairs it
+    searches generate, and for each embedding test the node pairs it
     copies plus its backtracking steps. It never counts time, so a
     budgeted run stops at the same point on every run and machine. With no
     budget every answer is exact; once the budget is spent, each query
@@ -89,9 +96,10 @@ class RelativeFrameSearch:
                 return None, size + steps
             return image is not None, size + steps
 
-        # in kernel order: node count, the identity start, matchings, hardware
-        # edges, label-pair table, gate count and the embedding test
-        self._args = (n, [tuple(range(n))], matchings, hw_edges, pair_bit,
+        # in kernel order: node count, the start mask E(H), matchings, hardware
+        # edges, node-pair table, gate count and the embedding test
+        start = sum(1 << pair_bit[u * n + v] for u, v in inst.hardware.edges)
+        self._args = (n, [start], matchings, hw_edges, pair_bit,
                       len(inst.connections), embeds)
 
     def _charge(self, work: int) -> None:

@@ -49,6 +49,24 @@ def test_p4_complete():
     assert oracle_min_swaps_at(inst, 1) is None
 
 
+def test_path7_complete():
+    # criterion 03's closed forms at n = 7: mt = n - 2 and ms = C(n - 1, 2)
+    inst = TmpInstance(path_graph(7), complete_graph(7))
+    assert oracle_min_steps(inst) == 5
+    assert oracle_min_swaps_at(inst, 5) == 15
+    assert oracle_min_swaps(inst) == 15
+
+
+def test_node_frame_search_work():
+    # work counts repeat exactly; a search that keys its states by label
+    # placement again spends 40,350 units here and fails this, where a
+    # timing would only drift
+    search = RelativeFrameSearch(TmpInstance(path_graph(6), complete_graph(6)))
+    steps, at_mt, cheaper = search.settle()
+    assert (steps.value, at_mt.value, cheaper.value) == (4, 10, -1)
+    assert search.work <= 10_000
+
+
 def test_star_hardware_complete():
     inst = TmpInstance(star_graph(4), complete_graph(4))
     assert oracle_min_steps(inst) == 2
@@ -116,9 +134,9 @@ def _two_trees(a: int, b: int, rng) -> Graph:
 
 
 def test_relative_frame_matches_brute_force():
-    # the search runs from the identity placement only, the brute force from
-    # every start, so a flaw in the relative-frame argument shows up here;
-    # dummy tokens and hardware in several components are where it would
+    # the search runs once, the brute force from every start, so a flaw in
+    # the relative-frame or the node-frame argument shows up here; dummy
+    # tokens and hardware in several components are where it would
     rng = random.Random(2024)
     cases = [TmpInstance(random_tree(n, rng), _dense_gates(n, rng)) for n in (4, 4, 4, 5, 5, 5, 5, 5)]
     cases += [TmpInstance(random_tree(5, rng), _dense_gates(k, rng)) for k in (3, 3, 4, 4, 4)]
