@@ -57,6 +57,11 @@ mask. Breadth-first keeps the set of masks it has seen. A* keeps per mask
 the Pareto list of (steps, swaps) it has admitted and drops a state when
 an entry of the same mask has no more steps and no more swaps: that entry
 can follow whatever continuation the dropped state has, at no more cost.
+A heap entry whose (steps, swaps) has since left its mask's list is
+skipped when popped, before the goal test: the entry that displaced it has
+the same h, since h depends on the mask alone, and no larger (f, g, s), so
+it popped first: it made the same goal test, and its expansion reaches
+every mask the stale one would, at no more cost.
 
 Witness. Each frontier or heap entry carries a link (parent link,
 matching index), and a goal state returns the matching indices along its
@@ -259,6 +264,8 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
         f, g, s, _, mask, link = heapq.heappop(heap)
         if f > max_swaps:
             break
+        if (s, g) not in pareto[mask]:
+            continue  # stale: its dominating entry has popped already
         hit, spent = reached(mask, budget - work)
         work += spent
         if hit is None:

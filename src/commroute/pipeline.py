@@ -53,7 +53,7 @@ from .solutions import (
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11 s on
 # path8 / K8, 0.24 s on grid3x3 / K9 and 0.42 s on grid4x4 / K16 (2 cores,
 # Python 3.11). The route bench instances need at most 2,427 units. Path7 /
-# K7 needs 240,796 to settle, so its `ms` search is left to HiGHS.
+# K7 needs 209,496 to settle, so its `ms` search is left to HiGHS.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {
@@ -304,7 +304,9 @@ def _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing) -> bool:
 def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
     """solve_min_swaps, then pack gates into circuit layers.
 
-    When the schedule solve ends without a proven optimum, `schedule` and
+    A note names what certified the fewest extra layers: the scheduler's
+    search, with its load bound and work, or HiGHS past the search's
+    budget. When that solve ends without a proven optimum, `schedule` and
     `routed_circuit` stay None and a note names the solver status.
     """
     cfg = cfg or PipelineConfig()
@@ -321,6 +323,13 @@ def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResul
         res.timings["schedule"] = time.monotonic() - t0
     res.schedule = outcome
     res.routed_circuit = outcome.circuit
+    if outcome.method == "search":
+        res.notes.append(
+            f"schedule certified by search: extra = {outcome.extra_layers}, "
+            f"load bound {outcome.load_bound} (work {outcome.work})"
+        )
+    elif outcome.method == "milp":
+        res.notes.append(f"schedule certified by HiGHS: extra = {outcome.extra_layers}")
     return res
 
 

@@ -220,10 +220,12 @@ def test_timeout_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_route_schedule_timeout_exit_code(capsys, tmp_path, monkeypatch):
-    # gates already adjacent, so the schedule solve is the only solve
+    # gates already adjacent, so the schedule solve is the only solve; no
+    # search budget, so the schedule goes to HiGHS
     inst = TmpInstance(path_graph(6), path_graph(6))
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst.to_dict()))
+    monkeypatch.setattr(scheduler, "SEARCH_BUDGET", 0)
     monkeypatch.setattr(scheduler.ScipyBackend, "solve",
                         lambda self, model, time_limit=None: SolveResult("timeout"))
     code, payload, _ = run(capsys, "route", str(path))
@@ -236,6 +238,7 @@ def test_route_schedule_timeout_exit_code(capsys, tmp_path, monkeypatch):
 def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
+    monkeypatch.setattr(scheduler, "SEARCH_BUDGET", 0)
     monkeypatch.setattr(scheduler.ScipyBackend, "solve",
                         lambda self, model, time_limit=None: SolveResult("timeout"))
     code, payload, _ = run(capsys, "schedule", tiny_instance, str(sol))

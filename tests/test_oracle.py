@@ -58,13 +58,13 @@ def test_path7_complete():
 
 
 def test_node_frame_search_work():
-    # work counts repeat exactly; a search that keys its states by label
-    # placement again spends 40,350 units here and fails this, where a
-    # timing would only drift
+    # work counts repeat exactly, where a timing would only drift: a search
+    # that keys its states by label placement again spends 40,350 units
+    # here, one that expands stale A* entries 8,586, and either fails this
     search = RelativeFrameSearch(TmpInstance(path_graph(6), complete_graph(6)))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper.value) == (4, 10, -1)
-    assert search.work <= 10_000
+    assert search.work <= 8_000
 
 
 def test_star_hardware_complete():

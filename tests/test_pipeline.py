@@ -294,9 +294,26 @@ def test_route_example():
     assert res.routed_circuit.swaps == 3
 
 
+@pytest.mark.parametrize("budget, note", [
+    (None, "schedule certified by search: extra = {extra}, load bound {bound} (work {work})"),
+    (0, "schedule certified by HiGHS: extra = {extra}"),
+], ids=["search", "highs"])
+def test_route_notes_the_schedule_certificate(monkeypatch, budget, note):
+    if budget is not None:
+        monkeypatch.setattr(scheduler, "SEARCH_BUDGET", budget)
+    res = route(TmpInstance(path_graph(6), star_graph(6)))
+    out = res.schedule
+    assert out.method == ("search" if budget is None else "milp")
+    assert out.load_bound <= out.extra_layers
+    assert res.notes[-1] == note.format(
+        extra=out.extra_layers, bound=out.load_bound, work=out.work)
+
+
 def test_route_keeps_the_solve_when_the_schedule_times_out(monkeypatch):
-    # gates already adjacent, so the schedule solve is the only solve
+    # gates already adjacent, so the schedule solve is the only solve; no
+    # search budget, so the schedule goes to HiGHS
     inst = TmpInstance(path_graph(6), path_graph(6))
+    monkeypatch.setattr(scheduler, "SEARCH_BUDGET", 0)
     monkeypatch.setattr(scheduler.ScipyBackend, "solve",
                         lambda self, model, time_limit=None: SolveResult("timeout"))
     res = route(inst)
