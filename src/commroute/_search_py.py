@@ -144,9 +144,19 @@ def _goal_test(num_gates: int, embeds):
     return reached
 
 
-def _step_tables(n, matchings, hw_edges, pair_bit):
-    """The E(H) mask and, per matching, the (shift, low mask) delta swaps
-    that apply sigma_m to a node-pair mask."""
+class StepTables(NamedTuple):
+    """The E(H) mask `base` and, per matching, the (shift, low mask) delta
+    swaps `deltas` that apply sigma_m to a node-pair mask and the swap
+    count `sizes`. Built once per instance and shared by its searches."""
+
+    base: int
+    deltas: list[list[tuple[int, int]]]
+    sizes: list[int]
+
+
+def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
+    """The StepTables of the matchings over the hardware edges hw_edges,
+    each given as a flat list of edge ends."""
     base = 0
     per_edge: dict[int, list[tuple[int, int]]] = {}
     for k in range(0, len(hw_edges), 2):
@@ -158,16 +168,16 @@ def _step_tables(n, matchings, hw_edges, pair_bit):
                 a, b = sorted((pair_bit[u * n + x], pair_bit[v * n + x]))
                 low[b - a] = low.get(b - a, 0) | 1 << a
         per_edge[u * n + v] = list(low.items())
-    steps = []
+    deltas = []
     for m in matchings:
         swaps = []
         for k in range(0, len(m), 2):
             swaps += per_edge[m[k] * n + m[k + 1]]
-        steps.append(swaps)
-    return base, steps
+        deltas.append(swaps)
+    return StepTables(base, deltas, [len(m) // 2 for m in matchings])
 
 
-def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budget=inf):
+def min_steps(tables, starts, num_gates, embeds, budget=inf):
     """Fewest swap steps from the start masks until the gate graph embeds
     into M; -1 when the search space is exhausted without reaching the goal.
     No depth limit is needed: each mask is admitted once, and there are
@@ -175,7 +185,7 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
     """
     work = 0
     reached = _goal_test(num_gates, embeds)
-    base, steps = _step_tables(n, matchings, hw_edges, pair_bit)
+    base, steps, _ = tables
     seen: set[int] = set()
     frontier: list[tuple[int, tuple | None]] = []
     for mask in starts:
@@ -217,8 +227,8 @@ def min_steps(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds, budge
     return Outcome(-1, True, work)
 
 
-def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds,
-                     max_steps, swap_capacity, step_capacity, budget=inf, max_swaps=inf):
+def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity,
+                     step_capacity, budget=inf, max_swaps=inf):
     """Fewest swaps over sequences of at most max_steps steps (and at most
     max_swaps swaps) whose M holds the gate graph; -1 if none.
 
@@ -228,8 +238,7 @@ def min_swaps_within(n, starts, matchings, hw_edges, pair_bit, num_gates, embeds
     """
     work = 0
     reached = _goal_test(num_gates, embeds)
-    base, steps = _step_tables(n, matchings, hw_edges, pair_bit)
-    sizes = [len(m) // 2 for m in matchings]
+    base, steps, sizes = tables
     pareto: dict[int, list[tuple[int, int]]] = {}
 
     def admit(mask: int, s: int, g: int) -> bool:

@@ -25,7 +25,13 @@ from ._search_py import Outcome
 from .bounds import cheaper_swap_floor, max_gain_per_step, max_gain_per_swap
 from .graphs import Graph, iter_matchings
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .solutions import SwapSolution, TmpInstance, embed_within, is_subgraph_placement
+from .solutions import (
+    SwapSolution,
+    TmpInstance,
+    embed_masks,
+    embedding_order,
+    is_subgraph_placement,
+)
 
 DEFAULT_NODE_LIMIT = 7
 
@@ -52,11 +58,14 @@ class RelativeFrameSearch:
     A state is the set of node pairs whose tokens have met, a bitmask
     starting at the hardware edges; a step permutes it by the matching and
     adds the hardware edges again. A goal state's path of matchings
-    replays into the label frame for `witness`.
+    replays into the label frame for `witness`. The delta-swap tables of
+    the matchings and the gate graph's `embedding_order` are built once
+    here and shared by every search on the instance.
 
     Work counts the hardware matchings enumerated, the successors the
-    searches generate, and for each embedding test the node pairs it
-    copies plus its backtracking steps. It never counts time, so a
+    searches generate, and for each embedding test the node pairs in the
+    mask, read once into node-adjacency bitmasks, plus the vertex
+    placements `embed_masks` tries. It never counts time, so a
     budgeted run stops at the same point on every run and machine. With no
     budget every answer is exact; once the budget is spent, each query
     returns an inexact Outcome whose value is a proven lower bound (0 when
@@ -81,26 +90,33 @@ class RelativeFrameSearch:
         for bit, (a, b) in enumerate(pairs):
             pair_bit[a * n + b] = bit
             pair_bit[b * n + a] = bit
-        hw_edges = [x for e in inst.hardware.edges for x in e]
-        matchings = [[x for e in m for x in e] for m in self._matchings]
+        ends = [(a, 1 << b, b, 1 << a) for a, b in pairs]
+        order = embedding_order(inst.algorithm)
 
         def embeds(mask: int, limit: float) -> tuple[bool | None, int]:
-            # one unit per pair copied into the graph plus one per backtracking
-            # step; embed_within may take one step past its limit
+            # one unit per pair of the mask plus one per backtracking step;
+            # embed_masks may take one step past its limit
             size = mask.bit_count()
             if size >= limit:
                 return None, 0
-            seen = Graph(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
-            image, steps = embed_within(inst.algorithm, seen, limit - size - 1)
+            adj = [0] * n
+            while mask:
+                low = mask & -mask
+                a, b_bit, b, a_bit = ends[low.bit_length() - 1]
+                adj[a] |= b_bit
+                adj[b] |= a_bit
+                mask ^= low
+            image, steps = embed_masks(order, adj, limit - size - 1)
             if image is None and steps > limit - size - 1:
                 return None, size + steps
             return image is not None, size + steps
 
-        # in kernel order: node count, the start mask E(H), matchings, hardware
-        # edges, node-pair table, gate count and the embedding test
-        start = sum(1 << pair_bit[u * n + v] for u, v in inst.hardware.edges)
-        self._args = (n, [start], matchings, hw_edges, pair_bit,
-                      len(inst.connections), embeds)
+        tables = _search_py.step_tables(
+            n, [[x for e in m for x in e] for m in self._matchings],
+            [x for e in inst.hardware.edges for x in e], pair_bit)
+        # in kernel order: step tables, the start mask E(H), gate count and
+        # the embedding test
+        self._args = (tables, [tables.base], len(inst.connections), embeds)
 
     def _charge(self, work: int) -> None:
         self.work += work

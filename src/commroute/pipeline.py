@@ -50,10 +50,11 @@ from .solutions import (
 # Work the relative-frame search may spend per solve: hardware matchings
 # enumerated, successors generated and embedding-test steps
 # (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
-# budgeted run repeat exactly. Spending all 100,000 units took 0.11 s on
-# path8 / K8, 0.24 s on grid3x3 / K9 and 0.42 s on grid4x4 / K16 (2 cores,
-# Python 3.11). The route bench instances need at most 2,427 units. Path7 /
-# K7 needs 209,496 to settle, so its `ms` search is left to HiGHS.
+# budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
+# on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
+# K16 (2 cores, Python 3.11). The route bench instances need at most 1,835
+# units (the grid3x3 baseline). Path7 / K7 needs 209,496 to settle, so its
+# `ms` search is left to HiGHS.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
+from typing import NamedTuple
 
 from .graphs import Graph, _normalize_edge
 
@@ -325,47 +326,131 @@ def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> Circui
     return CircuitValidation(not problems, circuit.depth, circuit.swaps, problems)
 
 
+class EmbeddingOrder(NamedTuple):
+    """The order `embed_masks` places the vertices of a gate graph in.
+
+    vertices[k] is the vertex placed at position k, earlier[k] the positions
+    before k that hold its neighbours, and degree[k] its degree.
+    """
+
+    vertices: tuple[int, ...]
+    earlier: tuple[tuple[int, ...], ...]
+    degree: tuple[int, ...]
+
+
+def embedding_order(a: Graph) -> EmbeddingOrder:
+    """Connected order: next the vertex with the most neighbours already
+    placed, then the one of higher degree, then the lower index."""
+    placed_nbrs = [0] * a.n
+    left = set(range(a.n))
+    position = [0] * a.n
+    vertices: list[int] = []
+    while left:
+        p = min(left, key=lambda q: (-placed_nbrs[q], -a.degree(q), q))
+        left.remove(p)
+        position[p] = len(vertices)
+        vertices.append(p)
+        for q in a.adjacency[p]:
+            placed_nbrs[q] += 1
+    earlier = tuple(
+        tuple(position[q] for q in a.adjacency[p] if position[q] < k)
+        for k, p in enumerate(vertices)
+    )
+    return EmbeddingOrder(tuple(vertices), earlier, tuple(a.degree(p) for p in vertices))
+
+
+def embed_masks(
+    order: EmbeddingOrder, adj: list[int], limit: float = inf
+) -> tuple[list[int] | None, int]:
+    """The search behind `embed_within`, for a gate graph given by its
+    `embedding_order` and a host graph whose node i has the neighbour
+    bitmask adj[i]; returns (image, steps) as `embed_within` does."""
+    vertices, earlier, degree = order
+    size = len(vertices)
+    if not size:
+        return [], 0
+    # ok[k]: nodes with at least degree[k] neighbours
+    top = max(degree)
+    at_least = [0] * (top + 1)
+    for node, nbrs in enumerate(adj):
+        at_least[min(nbrs.bit_count(), top)] |= 1 << node
+    for d in range(top, 0, -1):
+        at_least[d - 1] |= at_least[d]
+    ok = [at_least[d] for d in degree]
+    placed = [0] * size  # the node at each position
+    cands = [0] * size  # the candidates position k has yet to try
+    cands[0] = ok[0]
+    used = 0
+    steps = 0
+    k = 0
+    while True:
+        c = cands[k]
+        if not c:
+            if not k:
+                return None, steps
+            k -= 1
+            used ^= 1 << placed[k]
+            continue
+        low = c & -c
+        cands[k] = c ^ low
+        steps += 1
+        if steps > limit:
+            return None, steps
+        placed[k] = low.bit_length() - 1
+        k += 1
+        if k == size:
+            image = [0] * size
+            for p, node in zip(vertices, placed):
+                image[p] = node
+            return image, steps
+        used |= low
+        c = ok[k] & ~used
+        for j in earlier[k]:
+            c &= adj[placed[j]]
+        cands[k] = c
+
+
 def embed_within(a: Graph, h: Graph, limit: float = inf) -> tuple[list[int] | None, int]:
-    """Backtracking embedding of graph a into graph h as a subgraph.
+    """Backtracking embedding of graph a into graph h as a subgraph
+    (injective and edge-preserving, not necessarily induced).
 
     Returns (image, steps): image[p] is the node of h that vertex p of a
     maps to, or None when no embedding exists; steps counts the vertex
     placements tried. The search gives up at the first step past `limit`,
     so steps <= limit + 1, and a None image with steps > limit is
     undecided, not a no.
+
+    Order. The vertices of a are placed in `embedding_order`, fixed once
+    per gate graph: next the vertex with the most neighbours already
+    placed, then the one of higher degree, so most placements have a
+    placed neighbour to prune against.
+
+    Candidates. Each node of h has a bitmask of its neighbours. The
+    candidates for vertex p are the nodes that are free, have at least
+    deg(p) neighbours, and lie in the neighbour mask of the image of every
+    neighbour of p placed before it; they are tried lowest node first, and
+    each one tried is a step. The search runs iteratively, one candidate
+    mask per position, and backtracks when a position's mask is empty.
+
+    Exhaustive. A node outside p's candidates extends no embedding of the
+    vertices placed so far: an embedding is injective, maps the deg(p)
+    neighbours of p injectively onto neighbours of p's image, and maps each
+    edge between p and a placed vertex onto an edge. So every prefix of an
+    embedding passes the filters at each position. Every candidate at every
+    position is tried before the search backtracks, so it reaches every
+    assignment that passes them, each embedding's prefixes included, and
+    each edge of a is checked when its later end is placed, so a full
+    assignment it reaches is an embedding. A None image within `limit`
+    steps therefore proves that no embedding exists; the order decides
+    only how early the pruning bites.
     """
     if a.num_edges > h.num_edges:
         return None, 0
-    hdeg = [h.degree(i) for i in range(h.n)]
-    order = sorted(range(a.n), key=lambda p: -a.degree(p))
-    image = [-1] * a.n
-    used = [False] * h.n
-    steps = 0
-
-    def place(k: int) -> bool:
-        nonlocal steps
-        if k == a.n:
-            return True
-        p = order[k]
-        for node in range(h.n):
-            if used[node] or a.degree(p) > hdeg[node]:
-                continue
-            if any(image[q] >= 0 and not h.has_edge(node, image[q]) for q in a.adjacency[p]):
-                continue
-            steps += 1
-            if steps > limit:
-                return False
-            image[p] = node
-            used[node] = True
-            if place(k + 1):
-                return True
-            if steps > limit:
-                return False
-            image[p] = -1
-            used[node] = False
-        return False
-
-    return (image if place(0) else None), steps
+    adj = [0] * h.n
+    for u, v in h.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return embed_masks(embedding_order(a), adj, limit)
 
 
 def is_subgraph_placement(inst: TmpInstance) -> TokenPlacement | None:

@@ -67,6 +67,15 @@ def test_node_frame_search_work():
     assert search.work <= 8_000
 
 
+def test_grid_baseline_search_work():
+    # the embedding test that places gate vertices in connected order spends
+    # 1,835 units here; the degree-ordered one spent 2,427 and fails this
+    search = RelativeFrameSearch(generate_instance("grid3x3", 0.3, 5))
+    steps, at_mt, cheaper = search.settle()
+    assert (steps.value, at_mt.value, cheaper) == (1, 2, None)
+    assert search.work <= 2_000
+
+
 def test_star_hardware_complete():
     inst = TmpInstance(star_graph(4), complete_graph(4))
     assert oracle_min_steps(inst) == 2

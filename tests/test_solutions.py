@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from commroute.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
@@ -8,6 +11,7 @@ from commroute.solutions import (
     TmpInstance,
     TokenPlacement,
     covered_connections,
+    embed_within,
     is_subgraph_placement,
     placement_trajectory,
     validate_routed_circuit,
@@ -159,6 +163,37 @@ def test_is_subgraph_placement_star_into_path():
 def test_is_subgraph_placement_cycle():
     inst = TmpInstance(cycle_graph(5), cycle_graph(5))
     assert is_subgraph_placement(inst) is not None
+
+
+def _random_graph(n: int, rng: random.Random) -> Graph:
+    density = rng.random()
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def test_embedding_matches_brute_force():
+    # every injective map, tried one by one, against the backtracking search
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(600):
+        h = _random_graph(rng.randint(1, 6), rng)
+        a = _random_graph(rng.randint(0, min(5, h.n)), rng)
+        want = any(all(h.has_edge(f[u], f[v]) for u, v in a.edges)
+                   for f in permutations(range(h.n), a.n))
+        image, _ = embed_within(a, h)
+        if image is not None:
+            assert len(set(image)) == a.n and all(0 <= x < h.n for x in image)
+            assert all(h.has_edge(image[u], image[v]) for u, v in a.edges)
+        assert (image is not None) == want, (a.edges, h.edges)
+        placement = is_subgraph_placement(TmpInstance(h, a))
+        assert (placement is not None) == want
+        if want:
+            dummies = placement.pos[a.n:]
+            assert list(dummies) == sorted(dummies)
+        features = {"isolated gate vertex": any(a.degree(p) == 0 for p in range(a.n)),
+                    "fewer gate vertices": a.n < h.n,
+                    "disconnected hardware": not h.is_connected()}
+        seen.update((name, want) for name, on in features.items() if on)
+    assert len(seen) == 6, seen
 
 
 def test_instance_round_trip():
