@@ -26,7 +26,6 @@ from .graphs import (
     star_graph,
 )
 from .pipeline import (
-    PipelineConfig,
     PipelineResult,
     circuit_ingest,
     generate_instance,
@@ -61,7 +60,6 @@ __all__ = [
     "bridged_cycles_graph",
     "complete_graph",
     "cycle_graph",
-    "PipelineConfig",
     "PipelineResult",
     "circuit_ingest",
     "generate_instance",

@@ -146,7 +146,7 @@ def _goal_test(num_gates: int, embeds):
 
 class StepTables(NamedTuple):
     """The E(H) mask `base` and, per matching, the (shift, low mask) delta
-    swaps `deltas` that apply sigma_m to a node-pair mask and the swap
+    swaps `deltas` that apply sigma_m to a node-pair mask and its swap
     count `sizes`. Built once per instance and shared by its searches."""
 
     base: int
@@ -155,26 +155,21 @@ class StepTables(NamedTuple):
 
 
 def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
-    """The StepTables of the matchings over the hardware edges hw_edges,
-    each given as a flat list of edge ends."""
+    """The StepTables of the matchings, each a sequence of (u, v) edges
+    drawn from the hardware edges hw_edges; pair_bit maps u * n + v to the
+    bit of the node pair {u, v}."""
     base = 0
-    per_edge: dict[int, list[tuple[int, int]]] = {}
-    for k in range(0, len(hw_edges), 2):
-        u, v = hw_edges[k], hw_edges[k + 1]
+    per_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in hw_edges:
         base |= 1 << pair_bit[u * n + v]
         low: dict[int, int] = {}
         for x in range(n):
             if x != u and x != v:
                 a, b = sorted((pair_bit[u * n + x], pair_bit[v * n + x]))
                 low[b - a] = low.get(b - a, 0) | 1 << a
-        per_edge[u * n + v] = list(low.items())
-    deltas = []
-    for m in matchings:
-        swaps = []
-        for k in range(0, len(m), 2):
-            swaps += per_edge[m[k] * n + m[k + 1]]
-        deltas.append(swaps)
-    return StepTables(base, deltas, [len(m) // 2 for m in matchings])
+        per_edge[u, v] = list(low.items())
+    deltas = [[d for e in m for d in per_edge[e]] for m in matchings]
+    return StepTables(base, deltas, [len(m) for m in matchings])
 
 
 def min_steps(tables, starts, num_gates, embeds, budget=inf):

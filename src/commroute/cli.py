@@ -14,7 +14,6 @@ from pathlib import Path
 from .bounds import bound_report
 from .constructive import dfs_swap_solve
 from .graphs import Graph
-from .milp.models import ModelVariant
 from .oracle import (
     DEFAULT_NODE_LIMIT,
     InfeasibleInstanceError,
@@ -24,7 +23,6 @@ from .oracle import (
 )
 from .pipeline import (
     HARDWARE_PRESETS,
-    PipelineConfig,
     PipelineResult,
     circuit_ingest,
     generate_instance,
@@ -68,18 +66,14 @@ def _load_instance(path: str) -> TmpInstance:
         raise InputError(f"bad instance file {path}: {exc}") from exc
 
 
-def _load_graph(data: dict) -> Graph:
-    try:
-        return Graph(data["n"], [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph object: {exc}") from exc
-
-
 def _resolve_hardware(args) -> Graph:
     if args.hardware == "custom":
         if not args.hardware_file:
             raise InputError("--hardware custom requires --hardware-file")
-        return _load_graph(_load_json(args.hardware_file))
+        try:
+            return Graph.from_dict(_load_json(args.hardware_file))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad hardware file {args.hardware_file}: {exc}") from exc
     return HARDWARE_PRESETS[args.hardware]()
 
 
@@ -88,23 +82,6 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
     if out:
         Path(out).write_text(text + "\n")
-
-
-def _config_from(args) -> PipelineConfig:
-    try:
-        return PipelineConfig(
-            variant=ModelVariant.from_string(args.variant),
-            time_limit=args.time_limit,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", default="indicator-onesided",
-                   choices=[v.value for v in ModelVariant])
-    p.add_argument("--time-limit", type=float, default=None,
-                   help="per-solve limit in seconds")
 
 
 def cmd_generate(args) -> int:
@@ -150,9 +127,8 @@ def cmd_oracle(args) -> int:
 def _run_pipeline(args, runner) -> PipelineResult | None:
     """The runner's result, emitted; None when the instance has no solution."""
     inst = _load_instance(args.instance)
-    cfg = _config_from(args)
     try:
-        res = runner(inst, cfg)
+        res = runner(inst, args.time_limit)
     except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
         _emit({"error": str(exc)}, args.out)
         return None
@@ -301,18 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="minimal steps and swaps via MILP")
     p.add_argument("instance")
-    _add_solve_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("schedule", help="pack gates into a swap solution's layers")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("route", help="solve then schedule: full routed circuit")
     p.add_argument("instance")
-    _add_solve_flags(p)
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("heuristic", help="tree-based constructive solution for "
@@ -339,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     _hardware_flags(p)
     p.set_defaults(func=cmd_ingest)
 
+    for name in ("solve", "schedule", "route"):
+        sub.choices[name].add_argument("--time-limit", type=float, default=None,
+                                       help="per-solve HiGHS limit in seconds")
     for cmd in sub.choices.values():
         cmd.add_argument("--out", default=None, metavar="FILE",
                          help="also write the JSON result to FILE")

@@ -93,6 +93,14 @@ def _solve_result(model: MilpModel, c, res, elapsed: float, **stats) -> SolveRes
     return SolveResult(status, obj, values, elapsed, **stats)
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """ValueError unless time_limit is None or positive. Callers check it on
+    entry, before a search may settle the input without any HiGHS solve:
+    HiGHS itself stops at once on 0 and only warns on a negative limit."""
+    if time_limit is not None and not time_limit > 0:
+        raise ValueError("time_limit must be positive")
+
+
 class ScipyBackend:
     """HiGHS via scipy.optimize.milp."""
 

@@ -77,12 +77,6 @@ class MilpModel:
         self._index[name] = idx
         return idx
 
-    def var_index(self, name: str) -> int:
-        return self._index[name]
-
-    def has_var(self, name: str) -> bool:
-        return name in self._index
-
     def fix_var(self, name: str, value: float) -> None:
         v = self.variables[self._index[name]]
         if not (v.lb - 1e-9 <= value <= v.ub + 1e-9):

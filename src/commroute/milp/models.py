@@ -230,8 +230,8 @@ def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, *, steps: int) ->
 
     At the middle placement token 0 must sit on a representative node, and
     at other placements it cannot sit farther from the representative set
-    than the elapsed steps allow. Off by default; never changes the
-    optimal objective, only prunes mirrored solutions.
+    than the elapsed steps allow. Never changes the optimal objective, only
+    prunes mirrored solutions. No solve path adds it.
     """
     T = _placements(steps)
     h = inst.hardware
@@ -383,7 +383,6 @@ def solve_min_swaps_at(
     steps: int,
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED,
     time_limit: float | None = None,
-    use_symmetry: bool = False,
     use_fixing: bool = False,
 ) -> SolveAttempt:
     """Minimum swap count over exactly `steps` swap steps, with solution.
@@ -391,14 +390,7 @@ def solve_min_swaps_at(
     status "infeasible" means no solution covers all gates within the
     horizon; swaps/solution are then None.
     """
-    if use_symmetry and use_fixing:
-        raise ValueError(
-            "symmetry anchoring and full-placement fixing both pin token "
-            "positions and can contradict each other; enable at most one"
-        )
     model = build_variant(inst, variant, steps=steps)
-    if use_symmetry:
-        add_hardware_symmetry(model, inst, steps=steps)
     if use_fixing:
         add_complete_placement_fixing(model, inst, steps=steps)
     result = ScipyBackend().solve(model, time_limit=time_limit)

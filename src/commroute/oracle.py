@@ -111,9 +111,7 @@ class RelativeFrameSearch:
                 return None, size + steps
             return image is not None, size + steps
 
-        tables = _search_py.step_tables(
-            n, [[x for e in m for x in e] for m in self._matchings],
-            [x for e in inst.hardware.edges for x in e], pair_bit)
+        tables = _search_py.step_tables(n, self._matchings, inst.hardware.edges, pair_bit)
         # in kernel order: step tables, the start mask E(H), gate count and
         # the embedding test
         self._args = (tables, [tables.base], len(inst.connections), embeds)

@@ -30,13 +30,8 @@ from math import ceil
 
 from .bounds import cheaper_swap_floor, step_lower_bound
 from .graphs import Graph, bridged_cycles_graph, grid_graph
-from .milp.backends import ScipyBackend
-from .milp.models import (
-    ModelVariant,
-    build_swap_step_model,
-    decode_solution,
-    solve_min_swaps_at,
-)
+from .milp.backends import ScipyBackend, check_time_limit
+from .milp.models import build_swap_step_model, decode_solution, solve_min_swaps_at
 from .oracle import InfeasibleInstanceError, RelativeFrameSearch
 from .scheduler import ScheduleOutcome, ScheduleSolveError, schedule_circuit
 from .solutions import (
@@ -61,16 +56,6 @@ HARDWARE_PRESETS = {
     "grid3x3": lambda: grid_graph(3, 3),
     "twin5cycles": bridged_cycles_graph,
 }
-
-
-@dataclass
-class PipelineConfig:
-    variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED
-    time_limit: float | None = None  # per solve, seconds
-
-    def __post_init__(self):
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
 
 
 @dataclass
@@ -106,7 +91,7 @@ class PipelineResult:
         }
 
 
-def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
+def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> PipelineResult:
     """Minimal steps, minimal swaps at that step count, and minimal swaps overall.
 
     The relative-frame search runs first, under SEARCH_BUDGET
@@ -115,7 +100,8 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     `validate_swap_solution` rejects, or whose steps or swaps differ from
     what the search certified, raises RuntimeError.
 
-    What the search leaves open HiGHS proves as before. Phase 1 sweeps the
+    What the search leaves open HiGHS proves as before, each solve under
+    time_limit seconds, which must be positive when given. Phase 1 sweeps the
     step count upward from the larger of `step_lower_bound` and the first
     layer the search did not finish; phase 2 is its first feasible solve.
     Phase 3 solves the one-swap-per-step model one step below ms_at_mt
@@ -139,7 +125,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
     the phase-3 solve. `notes` names the certificate of each number: a
     bound, the search with the work it spent, or a HiGHS solve.
     """
-    cfg = cfg or PipelineConfig()
+    check_time_limit(time_limit)
     res = PipelineResult()
 
     t0 = time.monotonic()
@@ -175,7 +161,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         res.notes.append(
             f"certified by search: ms_at_mt = {res.ms_at_mt} (work {at_mt.work})"
         )
-    elif not _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing):
+    elif not _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing):
         return res
 
     floor = cheaper_swap_floor(inst, res.mt)
@@ -216,7 +202,7 @@ def solve_min_swaps(inst: TmpInstance, cfg: PipelineConfig | None = None) -> Pip
         from .milp.models import add_complete_placement_fixing
 
         add_complete_placement_fixing(model, inst, steps=target)
-    step_result = ScipyBackend().solve(model, time_limit=cfg.time_limit)
+    step_result = ScipyBackend().solve(model, time_limit=time_limit)
     if step_result.is_optimal:
         step_solution = decode_solution(inst, step_result, steps=target)
     res.timings["min_swaps_overall"] = time.monotonic() - t0
@@ -251,7 +237,7 @@ def _search_witness(search: RelativeFrameSearch, out, max_steps: int) -> SwapSol
     return solution
 
 
-def _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing) -> bool:
+def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
     res, or add a timeout note and return False.
 
@@ -266,9 +252,7 @@ def _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing) -> bool:
     t = start
     while t <= t_cap:
         t0 = time.monotonic()
-        a = solve_min_swaps_at(
-            inst, t, cfg.variant, time_limit=cfg.time_limit, use_fixing=fixing,
-        )
+        a = solve_min_swaps_at(inst, t, time_limit=time_limit, use_fixing=fixing)
         probe = time.monotonic() - t0
         if a.status == "timeout":
             res.timings["find_min_steps"] = phase1 + probe
@@ -302,21 +286,21 @@ def _steps_and_swaps_at_mt(inst, cfg, res, steps, fixing) -> bool:
     return True
 
 
-def route(inst: TmpInstance, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """solve_min_swaps, then pack gates into circuit layers.
+def route(inst: TmpInstance, time_limit: float | None = None) -> PipelineResult:
+    """solve_min_swaps, then pack gates into circuit layers; time_limit
+    bounds each HiGHS solve of both.
 
     A note names what certified the fewest extra layers: the scheduler's
     search, with its load bound and work, or HiGHS past the search's
     budget. When that solve ends without a proven optimum, `schedule` and
     `routed_circuit` stay None and a note names the solver status.
     """
-    cfg = cfg or PipelineConfig()
-    res = solve_min_swaps(inst, cfg)
+    res = solve_min_swaps(inst, time_limit)
     if res.swap_solution is None:
         return res
     t0 = time.monotonic()
     try:
-        outcome = schedule_circuit(inst, res.swap_solution, time_limit=cfg.time_limit)
+        outcome = schedule_circuit(inst, res.swap_solution, time_limit=time_limit)
     except ScheduleSolveError as exc:
         res.notes.append(str(exc))
         return res

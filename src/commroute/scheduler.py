@@ -53,9 +53,9 @@ problem as an integer program and HiGHS solves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .milp.backends import ScipyBackend
+from .milp.backends import ScipyBackend, check_time_limit
 from .milp.model import MilpModel
 from .solutions import (
     CircuitLayer,
@@ -96,7 +96,6 @@ class ScheduleContext:
     placements: list[TokenPlacement]  # length = steps + 1
     windows: dict[int, GateWindows]  # gate index -> windows
     budgets: list[int]  # extra-layer budget per step, length = steps + 1
-    unschedulable: list[int] = field(default_factory=list)
 
     @property
     def num_steps(self) -> int:
@@ -106,14 +105,22 @@ class ScheduleContext:
     def gates(self) -> list[Edge]:
         return list(self.instance.connections)
 
+    def slots(self, g: int) -> list[tuple[int, int]]:
+        """Every slot gate g may take: (t, 0) at each of its swap steps, then
+        (t, b) for b = 1 .. budget at each of its empty steps."""
+        w = self.windows[g]
+        out = [(t, 0) for t in w.swap_layer_steps]
+        out += [(t, b) for t in w.empty_layer_steps for b in range(1, self.budgets[t - 1] + 1)]
+        return out
+
 
 def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
     """Executable steps per gate, plus the per-step extra-layer budgets.
 
     The budget before each swap layer is one more than the max degree of
     the graph of gates executable there, which always suffices to host
-    them all. Gates with empty windows land in context.unschedulable,
-    which signals an invalid or incomplete swap solution.
+    them all. An invalid swap solution raises ValueError, so every gate
+    has at least one executable step.
     """
     check = validate_swap_solution(inst, sol)
     if not check.valid:
@@ -125,7 +132,6 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
     windows: dict[int, GateWindows] = {}
     executable: list[list[Edge]] = [[] for _ in range(k + 1)]
     matched_at = [{v for e in m for v in e} for m in compact.matchings]
-    unschedulable = []
     for g, (p, q) in enumerate(inst.connections):
         empty_steps = []
         swap_steps = []
@@ -139,8 +145,6 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
             if t <= k and a not in matched_at[t - 1] and b not in matched_at[t - 1]:
                 swap_steps.append(t)
         windows[g] = GateWindows(tuple(empty_steps), tuple(swap_steps))
-        if not empty_steps:
-            unschedulable.append(g)
     budgets = []
     for t in range(k + 1):
         degree: dict[int, int] = {}
@@ -148,7 +152,7 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
         budgets.append((max(degree.values()) if degree else 0) + 1)
-    return ScheduleContext(inst, compact, placements, windows, budgets, unschedulable)
+    return ScheduleContext(inst, compact, placements, windows, budgets)
 
 
 def _u(t: int, b: int) -> str:
@@ -170,29 +174,17 @@ def _gates_of_token(gates: list[Edge]) -> dict[int, list[int]]:
 def build_schedule_model(ctx: ScheduleContext) -> MilpModel:
     """Layer-assignment program: every gate exactly once, one gate per token
     per layer, extra layers counted only when used and filled front-first."""
-    if ctx.unschedulable:
-        raise ValueError(f"gates without any executable step: {ctx.unschedulable}")
     k = ctx.num_steps
     model = MilpModel(name=f"schedule_k{k}_g{len(ctx.windows)}")
     for t in range(1, k + 2):
         for b in range(1, ctx.budgets[t - 1] + 1):
             model.add_var(_u(t, b))
     for g in sorted(ctx.windows):
-        w = ctx.windows[g]
-        for t in w.swap_layer_steps:
-            model.add_var(_a(g, t, 0))
-        for t in w.empty_layer_steps:
-            for b in range(1, ctx.budgets[t - 1] + 1):
-                model.add_var(_a(g, t, b))
+        for t, b in ctx.slots(g):
+            model.add_var(_a(g, t, b))
     for g in sorted(ctx.windows):
-        w = ctx.windows[g]
-        terms = [(_a(g, t, 0), 1.0) for t in w.swap_layer_steps]
-        terms += [
-            (_a(g, t, b), 1.0)
-            for t in w.empty_layer_steps
-            for b in range(1, ctx.budgets[t - 1] + 1)
-        ]
-        model.add_constr(f"gate_once_g{g}", terms, "==", 1.0)
+        model.add_constr(f"gate_once_g{g}", [(_a(g, t, b), 1.0) for t, b in ctx.slots(g)],
+                         "==", 1.0)
     tokens_of = _gates_of_token(ctx.gates)
     for t in range(1, k + 2):
         for b in range(1, ctx.budgets[t - 1] + 1):
@@ -208,11 +200,7 @@ def build_schedule_model(ctx: ScheduleContext) -> MilpModel:
                         terms + [(_u(t, b), -1.0)], "<=", 0.0,
                     )
     for t in range(1, k + 1):
-        matched = {v for e in ctx.solution.matchings[t - 1] for v in e}
-        f = ctx.placements[t - 1]
         for r in sorted(tokens_of):
-            if f.node_of(r) in matched:
-                continue
             terms = [
                 (_a(g, t, 0), 1.0)
                 for g in tokens_of[r]
@@ -242,14 +230,7 @@ Assignment = dict[int, tuple[int, int]]  # gate -> (step t, layer b; b=0 is the 
 def extract_assignment(ctx: ScheduleContext, values: dict[str, float]) -> Assignment:
     out: Assignment = {}
     for g in sorted(ctx.windows):
-        w = ctx.windows[g]
-        slots = [(t, 0) for t in w.swap_layer_steps]
-        slots += [
-            (t, b)
-            for t in w.empty_layer_steps
-            for b in range(1, ctx.budgets[t - 1] + 1)
-        ]
-        hits = [(t, b) for t, b in slots if values[_a(g, t, b)] > 0.5]
+        hits = [(t, b) for t, b in ctx.slots(g) if values[_a(g, t, b)] > 0.5]
         if len(hits) != 1:
             raise ValueError(f"gate {g} scheduled {len(hits)} times")
         out[g] = hits[0]
@@ -431,8 +412,10 @@ def schedule_circuit(
     The search certifies the fewest extra layers within SEARCH_BUDGET gate
     placements; past it the integer program is solved with HiGHS instead,
     under time_limit. Raises ScheduleSolveError, naming the solver status,
-    when that solve ends without a proven optimum.
+    when that solve ends without a proven optimum, and ValueError when
+    time_limit is not positive.
     """
+    check_time_limit(time_limit)
     ctx = compute_windows(inst, sol)
     if not ctx.windows:
         return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct")

@@ -169,16 +169,13 @@ def brute_swaps_within(inst, max_steps: int) -> list[int | None]:
 # ---------------------------------------------------------------------------
 # scheduling brute force
 
-def brute_min_depth(inst, sol) -> int | None:
+def brute_min_depth(inst, sol) -> int:
     """Minimal depth over all gate-to-layer assignments, by enumeration.
 
     Layers are the swap layers plus up to budget[t] empty layers before
-    step t; a layer may not touch a token twice. None when some gate has
-    no usable slot.
+    step t; a layer may not touch a token twice.
     """
     ctx = compute_windows(inst, sol)
-    if ctx.unschedulable:
-        return None
     k = ctx.num_steps
     slot_lists = []
     for gi in sorted(ctx.windows):

@@ -192,7 +192,10 @@ def test_unknown_flag_is_input_error(capsys):
     ["route", "--fixing", "on"],
     ["schedule", "--greedy"],
     ["solve", "--symmetry"],
-], ids=["no-step-bound", "fixing-off", "fixing-on", "greedy", "symmetry"])
+    ["solve", "--variant", "pair-mccormick"],
+    ["route", "--variant", "indicator-full"],
+], ids=["no-step-bound", "fixing-off", "fixing-on", "greedy", "symmetry", "solve-variant",
+        "route-variant"])
 def test_removed_flags_are_input_errors(capsys, tmp_path, tiny_instance, flags):
     command, *rest = flags
     argv = [command, tiny_instance]
@@ -253,14 +256,26 @@ def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch
     (["ingest", "{gates}"], "expected two qubit labels"),
     (["bounds", "{gates}"], "is not valid JSON"),
     (["schedule", "{instance}", "{solution}"], "initial placement has size 2, expected 3"),
+    (["heuristic", "--hardware", "custom", "--hardware-file", "{graph}"],
+     "graph object needs 'n' and 'edges'"),
+    (["solve", "{instance}", "--time-limit", "0"], "time_limit must be positive"),
+    (["route", "{instance}", "--time-limit", "-1"], "time_limit must be positive"),
+    (["schedule", "{instance}", "{valid_solution}", "--time-limit", "0"],
+     "time_limit must be positive"),
 ], ids=["generate-density", "heuristic-no-file", "oracle-node-limit", "ingest-one-label",
-        "bounds-bad-instance", "schedule-wrong-size"])
+        "bounds-bad-instance", "schedule-wrong-size", "heuristic-bad-graph",
+        "solve-zero-time-limit", "route-negative-time-limit", "schedule-zero-time-limit"])
 def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
     gates = tmp_path / "gates.txt"
     gates.write_text("a b\nc\n")
     solution = tmp_path / "sol.json"
     solution.write_text(json.dumps({"initial": [0, 1], "matchings": []}))
-    argv = [a.format(instance=tiny_instance, gates=gates, solution=solution) for a in argv]
+    valid_solution = tmp_path / "valid_sol.json"
+    valid_solution.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps([1, 2]))
+    argv = [a.format(instance=tiny_instance, gates=gates, solution=solution,
+                     valid_solution=valid_solution, graph=graph) for a in argv]
     code, payload, err = run(capsys, *argv)
     assert code == 4
     assert payload is None

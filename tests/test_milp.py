@@ -130,9 +130,11 @@ def test_swap_step_decode():
 def test_symmetry_preserves_optimum():
     inst = example()
     plain = solve_min_swaps_at(inst, steps=2)
-    anchored = solve_min_swaps_at(inst, steps=2, use_symmetry=True)
-    assert anchored.swaps == plain.swaps
-    assert validate_swap_solution(inst, anchored.solution).valid
+    model = add_hardware_symmetry(build_variant(inst, steps=2), inst, steps=2)
+    anchored = BACKEND.solve(model)
+    assert anchored.is_optimal
+    assert round(anchored.objective) == plain.swaps
+    assert validate_swap_solution(inst, decode_solution(inst, anchored, steps=2)).valid
 
 
 def test_complete_fixing_preserves_optimum():
@@ -141,11 +143,6 @@ def test_complete_fixing_preserves_optimum():
     fixed = solve_min_swaps_at(inst, steps=2, use_fixing=True)
     assert fixed.swaps == plain.swaps
     assert validate_swap_solution(inst, fixed.solution).valid
-
-
-def test_symmetry_and_fixing_conflict():
-    with pytest.raises(ValueError):
-        solve_min_swaps_at(p4k4(), steps=2, use_symmetry=True, use_fixing=True)
 
 
 def test_fixing_requires_complete_algorithm():

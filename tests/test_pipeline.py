@@ -20,7 +20,6 @@ from commroute.oracle import (
     oracle_min_swaps_at,
 )
 from commroute.pipeline import (
-    PipelineConfig,
     PipelineResult,
     circuit_ingest,
     generate_instance,
@@ -251,10 +250,11 @@ def test_disconnected_hardware_rejected(highs_only):
 
 
 def test_config_validates_time_limit():
+    inst = TmpInstance(path_graph(3), complete_graph(3))
     with pytest.raises(ValueError):
-        PipelineConfig(time_limit=0)
+        solve_min_swaps(inst, time_limit=0)
     with pytest.raises(ValueError):
-        PipelineConfig(time_limit=-1.5)
+        solve_min_swaps(inst, time_limit=-1.5)
 
 
 def test_results_match_oracle_small(rng, highs_only):
