@@ -229,7 +229,9 @@ def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity
 
     swap_capacity bounds how many new pairs one swap can add to M and feeds
     an admissible A* heuristic; step_capacity does the same per step and
-    prunes states that cannot finish in the remaining steps.
+    prunes states that cannot finish in the remaining steps. The tables
+    may hold any of the matchings: over the one-edge ones a step is one
+    swap, and swap_capacity bounds it as well.
     """
     work = 0
     reached = _goal_test(num_gates, embeds)

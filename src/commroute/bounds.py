@@ -80,8 +80,9 @@ def cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
 
     The lemma also bounds the steps such a solution needs: serialized, it
     has s <= ms_at_mt - 1 single-swap steps, at least `floor` of them
-    nonempty. A search or model over ms_at_mt - 1 steps therefore sees
-    every cheaper solution.
+    nonempty. A search or model over ms_at_mt - 1 steps of at most one
+    swap each therefore sees every cheaper solution; and with no step cap,
+    the fewest swaps over all solutions equal the fewest single-swap steps.
     """
     return max(mt + 1, swap_lower_bound(inst))
 

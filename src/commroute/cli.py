@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -78,10 +79,17 @@ def _resolve_hardware(args) -> Graph:
 
 
 def _emit(payload: dict, out: str | None) -> None:
+    """Write the JSON to --out, then print it. A reader that closes stdout
+    early (`| head`) loses the rest of the output but changes neither the
+    file nor the exit code."""
     text = json.dumps(payload, indent=2)
-    print(text)
     if out:
         Path(out).write_text(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; make that a no-op
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_generate(args) -> int:

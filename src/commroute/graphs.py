@@ -12,6 +12,19 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _parse_int(value) -> int:
+    """A node or token number read from JSON; int() would truncate 1.9 to 1
+    and read true as 1, so floats and bools are refused."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_edge(pair) -> tuple[int, int]:
+    u, v = pair
+    return _normalize_edge(_parse_int(u), _parse_int(v))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on nodes 0..n-1 with no self loops or parallel edges."""
@@ -110,7 +123,7 @@ class Graph:
     def from_dict(cls, data: dict) -> Graph:
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise ValueError("graph object needs 'n' and 'edges'")
-        return cls(int(data["n"]), tuple((int(u), int(v)) for u, v in data["edges"]))
+        return cls(_parse_int(data["n"]), tuple(_parse_edge(e) for e in data["edges"]))
 
 
 def path_graph(n: int) -> Graph:

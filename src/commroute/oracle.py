@@ -57,10 +57,14 @@ class RelativeFrameSearch:
 
     A state is the set of node pairs whose tokens have met, a bitmask
     starting at the hardware edges; a step permutes it by the matching and
-    adds the hardware edges again. A goal state's path of matchings
-    replays into the label frame for `witness`. The delta-swap tables of
-    the matchings and the gate graph's `embedding_order` are built once
-    here and shared by every search on the instance.
+    adds the hardware edges again. `min_steps` and `min_swaps_within`
+    branch on every hardware matching; `cheaper_swaps` branches on the
+    one-edge matchings only, one swap per step, which the serialization
+    lemma (`cheaper_swap_floor`) shows loses no swap optimum. A goal
+    state's path of matching indices replays into the label frame for
+    `witness`. The delta-swap tables of the matchings, the one-edge
+    matchings' share of them and the gate graph's `embedding_order` are
+    built once here and shared by every search on the instance.
 
     Work counts the hardware matchings enumerated, the successors the
     searches generate, and for each embedding test the node pairs in the
@@ -115,6 +119,10 @@ class RelativeFrameSearch:
         # in kernel order: step tables, the start mask E(H), gate count and
         # the embedding test
         self._args = (tables, [tables.base], len(inst.connections), embeds)
+        # the one-edge matchings, as indices into _matchings, and their tables
+        self._singles = [mi for mi, m in enumerate(self._matchings) if len(m) == 1]
+        self._single_tables = tables._replace(
+            deltas=[tables.deltas[mi] for mi in self._singles], sizes=[1] * len(self._singles))
 
     def _charge(self, work: int) -> None:
         self.work += work
@@ -128,27 +136,41 @@ class RelativeFrameSearch:
         self._charge(out.work)
         return out
 
-    def min_swaps_within(self, steps: int, max_swaps: float = inf) -> Outcome:
-        """Fewest swaps within `steps` steps (A*), counting only solutions with
-        at most max_swaps swaps; -1 if none."""
+    def min_swaps_within(self, steps: int) -> Outcome:
+        """Fewest swaps within `steps` steps (A*); -1 if none."""
         if self._args is None:
             return Outcome(0, False, 0)
         hw = self.inst.hardware
         out = _search_py.min_swaps_within(
             *self._args, steps, max_gain_per_swap(hw), max_gain_per_step(hw),
-            budget=self.left, max_swaps=max_swaps,
+            budget=self.left,
         )
         self._charge(out.work)
         return out
 
-    def cheaper_swaps(self, ms_at_mt: int) -> Outcome:
+    def cheaper_swaps(self, ms_at_mt: float) -> Outcome:
         """Fewest swaps of any solution with fewer than ms_at_mt swaps, at
         any step count; -1 if none, which makes ms_at_mt the overall optimum.
+        With ms_at_mt = inf this is the overall optimum, -1 if no solution
+        exists.
 
         Such a solution serializes into at most ms_at_mt - 1 single-swap
-        steps (`cheaper_swap_floor`), so one bounded A* sees them all.
+        steps (`cheaper_swap_floor`), and a single-swap solution is a
+        solution with as many swaps, so one A* over at most ms_at_mt - 1
+        one-edge matchings sees them all; `max_gain_per_swap` bounds both
+        its swaps and its steps. The Outcome's path indexes the matchings,
+        as every search's does.
         """
-        return self.min_swaps_within(ms_at_mt - 1, max_swaps=ms_at_mt - 1)
+        if self._args is None:
+            return Outcome(0, False, 0)
+        cap = ms_at_mt - 1
+        gain = max_gain_per_swap(self.inst.hardware)
+        out = _search_py.min_swaps_within(
+            self._single_tables, *self._args[1:], cap, gain, gain,
+            budget=self.left, max_swaps=cap,
+        )
+        self._charge(out.work)
+        return out._replace(path=tuple(self._singles[mi] for mi in out.path))
 
     def settle(self) -> tuple[Outcome, Outcome | None, Outcome | None]:
         """The Outcomes of the breadth-first search (mt), A* at mt (ms_at_mt)
@@ -206,13 +228,17 @@ def oracle_min_swaps_at(
 
 
 def oracle_min_swaps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
-    """Fewest swaps over all solutions regardless of step count: the optimum
-    within the fewest steps, ms_at_mt, unless `RelativeFrameSearch.settle`
-    finds a cheaper solution."""
+    """Fewest swaps over all solutions regardless of step count.
+
+    By the serialization lemma (`cheaper_swap_floor`) this is the fewest
+    single swaps, one per step, that realize every connection, so one A*
+    over the one-edge matchings with no step cap finds it
+    (`RelativeFrameSearch.cheaper_swaps` at infinity).
+    """
     _check_size(inst, node_limit)
     if not inst.connections or is_subgraph_placement(inst) is not None:
         return 0
-    steps, at_mt, cheaper = RelativeFrameSearch(inst).settle()
-    if steps.value < 0:
+    result = RelativeFrameSearch(inst).cheaper_swaps(inf).value
+    if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
-    return at_mt.value if cheaper is None or cheaper.value < 0 else cheaper.value
+    return result

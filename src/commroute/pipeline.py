@@ -9,10 +9,10 @@ minimal swap count ms.
 1. The relative-frame search (`oracle.RelativeFrameSearch`) runs under a
    fixed work budget. Breadth-first it finds mt; A* at mt finds ms_at_mt;
    and unless `cheaper_swap_floor` already certifies ms = ms_at_mt, one
-   more A* over ms_at_mt - 1 steps decides whether a cheaper solution
-   exists. The goal state each search reaches is its witness: the
-   solution is rebuilt from the search's path, so a settled instance
-   builds no model.
+   more A*, over at most ms_at_mt - 1 steps of one swap each, decides
+   whether a cheaper solution exists. The goal state each search reaches
+   is its witness: the solution is rebuilt from the search's path, so a
+   settled instance builds no model.
 2. Whatever the budget leaves open, HiGHS proves as before: it solves the
    gate-coverage program for increasing t, from the first layer the
    search did not finish, until it turns feasible, which gives mt and ms_at_mt;
@@ -48,8 +48,8 @@ from .solutions import (
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
 # K16 (2 cores, Python 3.11). The route bench instances need at most 1,835
-# units (the grid3x3 baseline). Path7 / K7 needs 209,496 to settle, so its
-# `ms` search is left to HiGHS.
+# units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
+# search in 76,400 units, its `ms` proof branching on single swaps.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import inf
 from typing import NamedTuple
 
-from .graphs import Graph, _normalize_edge
+from .graphs import Graph, _normalize_edge, _parse_edge, _parse_int
 
 Edge = tuple[int, int]
 Matching = tuple[Edge, ...]
@@ -151,9 +151,9 @@ class SwapSolution:
         if not isinstance(data, dict) or "initial" not in data or "matchings" not in data:
             raise ValueError("swap solution object needs 'initial' and 'matchings'")
         return cls(
-            TokenPlacement(tuple(int(x) for x in data["initial"])),
+            TokenPlacement(tuple(_parse_int(x) for x in data["initial"])),
             tuple(
-                tuple(_normalize_edge(int(u), int(v)) for u, v in m)
+                tuple(_parse_edge(e) for e in m)
                 for m in data["matchings"]
             ),
         )
@@ -265,12 +265,12 @@ class RoutedCircuit:
             raise ValueError("routed circuit object needs 'initial' and 'layers'")
         layers = tuple(
             CircuitLayer(
-                tuple(_normalize_edge(int(u), int(v)) for u, v in layer.get("swap_edges", [])),
-                tuple(_normalize_edge(int(u), int(v)) for u, v in layer.get("gate_edges", [])),
+                tuple(_parse_edge(e) for e in layer.get("swap_edges", [])),
+                tuple(_parse_edge(e) for e in layer.get("gate_edges", [])),
             )
             for layer in data["layers"]
         )
-        return cls(TokenPlacement(tuple(int(x) for x in data["initial"])), layers)
+        return cls(TokenPlacement(tuple(_parse_int(x) for x in data["initial"])), layers)
 
 
 @dataclass

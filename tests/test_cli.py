@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import commroute
 import commroute.pipeline as pipeline
 import commroute.scheduler as scheduler
 from commroute.cli import main
@@ -258,13 +263,17 @@ def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch
     (["schedule", "{instance}", "{solution}"], "initial placement has size 2, expected 3"),
     (["heuristic", "--hardware", "custom", "--hardware-file", "{graph}"],
      "graph object needs 'n' and 'edges'"),
+    (["heuristic", "--hardware", "custom", "--hardware-file", "{float_graph}"],
+     "expected an integer, got 4.7"),
+    (["verify", "{instance}", "--solution", "{float_solution}"], "expected an integer, got 1.5"),
     (["solve", "{instance}", "--time-limit", "0"], "time_limit must be positive"),
     (["route", "{instance}", "--time-limit", "-1"], "time_limit must be positive"),
     (["schedule", "{instance}", "{valid_solution}", "--time-limit", "0"],
      "time_limit must be positive"),
 ], ids=["generate-density", "heuristic-no-file", "oracle-node-limit", "ingest-one-label",
         "bounds-bad-instance", "schedule-wrong-size", "heuristic-bad-graph",
-        "solve-zero-time-limit", "route-negative-time-limit", "schedule-zero-time-limit"])
+        "heuristic-float-graph", "verify-float-solution", "solve-zero-time-limit",
+        "route-negative-time-limit", "schedule-zero-time-limit"])
 def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
     gates = tmp_path / "gates.txt"
     gates.write_text("a b\nc\n")
@@ -274,9 +283,38 @@ def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
     valid_solution.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps([1, 2]))
+    # int() would read this as the 4-node path 0-1-2-3
+    float_graph = tmp_path / "float_graph.json"
+    float_graph.write_text(json.dumps({"n": 4.7, "edges": [[0, 1], [1.9, 2], [2, 3]]}))
+    float_solution = tmp_path / "float_sol.json"
+    float_solution.write_text(json.dumps({"initial": [0, 1.5, 2], "matchings": [[[0, 1]]]}))
     argv = [a.format(instance=tiny_instance, gates=gates, solution=solution,
-                     valid_solution=valid_solution, graph=graph) for a in argv]
+                     valid_solution=valid_solution, graph=graph, float_graph=float_graph,
+                     float_solution=float_solution)
+            for a in argv]
     code, payload, err = run(capsys, *argv)
     assert code == 4
     assert payload is None
     assert message in json.loads(err)["error"]
+
+
+def test_closed_stdout_keeps_exit_code_and_out_file(tmp_path):
+    # a 300-node instance prints far more than a pipe buffer holds, so the
+    # CLI is still writing when the reader closes its end
+    hw = tmp_path / "path300.json"
+    hw.write_text(json.dumps(path_graph(300).to_dict()))
+    out = tmp_path / "inst.json"
+    src = str(Path(commroute.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commroute.cli", "generate", "--hardware", "custom",
+         "--hardware-file", str(hw), "--density", "0.2", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err, err
+    assert len(json.loads(out.read_text())["algorithm"]["edges"]) == 8970

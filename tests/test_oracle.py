@@ -22,7 +22,7 @@ from commroute.oracle import (
     oracle_min_swaps,
     oracle_min_swaps_at,
 )
-from commroute.pipeline import generate_instance
+from commroute.pipeline import SEARCH_BUDGET, generate_instance
 from commroute.solutions import TmpInstance, embed_within, validate_swap_solution
 
 from conftest import brute_swaps_within, random_connected_graph, random_tree
@@ -60,11 +60,22 @@ def test_path7_complete():
 def test_node_frame_search_work():
     # work counts repeat exactly, where a timing would only drift: a search
     # that keys its states by label placement again spends 40,350 units
-    # here, one that expands stale A* entries 8,586, and either fails this
+    # here, one that expands stale A* entries 8,586, one whose cheaper
+    # search branches on every matching instead of on single swaps 7,506,
+    # and each fails this
     search = RelativeFrameSearch(TmpInstance(path_graph(6), complete_graph(6)))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper.value) == (4, 10, -1)
-    assert search.work <= 8_000
+    assert search.work <= 5_000
+
+
+def test_path7_settles_within_the_pipeline_budget():
+    # the single-swap cheaper search proves ms = 15 in 76,400 units in all;
+    # branching on every matching it ran out at 99,996
+    search = RelativeFrameSearch(TmpInstance(path_graph(7), complete_graph(7)), SEARCH_BUDGET)
+    steps, at_mt, cheaper = search.settle()
+    assert all(out.exact for out in (steps, at_mt, cheaper))
+    assert (steps.value, at_mt.value, cheaper.value) == (5, 15, -1)
 
 
 def test_grid_baseline_search_work():
@@ -164,6 +175,11 @@ def test_relative_frame_matches_brute_force():
         want = brute_swaps_within(inst, horizon)
         got = [oracle_min_swaps_at(inst, t) for t in range(horizon + 1)]
         assert got == want, (inst.hardware.edges, inst.algorithm.edges)
+        # a solution with s <= horizon swaps serializes into s steps, so a
+        # brute-force minimum within the horizon is the overall one
+        if want[-1] is not None and want[-1] <= horizon:
+            seen.add("ms checked")
+            assert oracle_min_swaps(inst) == want[-1], (inst.hardware.edges, inst.algorithm.edges)
         if want[-1] is None:
             seen.add("infeasible")
             with pytest.raises(InfeasibleInstanceError):
@@ -186,7 +202,7 @@ def test_relative_frame_matches_brute_force():
             assert check.steps <= (out.value if steps is None else steps)
             if steps is not None:
                 assert check.swaps == out.value
-    assert seen == {"infeasible", "mt=0", "mt=1", "mt=2", "mt=3"}
+    assert seen == {"infeasible", "mt=0", "mt=1", "mt=2", "mt=3", "ms checked"}
 
 
 def _budgeted(inst, extra):
@@ -258,3 +274,20 @@ def test_cheaper_swaps_decides_the_overall_optimum():
     search = RelativeFrameSearch(inst)
     assert search.cheaper_swaps(4).value == 3
     assert search.cheaper_swaps(3).value == -1
+
+
+def test_cheaper_witness_swaps_one_edge_per_step():
+    # (instance, a swap count to undercut, the fewest swaps): the worked
+    # example's ms_at_mt and ms, and path / complete with ms = C(n - 1, 2)
+    cases = [(TmpInstance(path_graph(6), star_graph(6)), 4, 3)]
+    cases += [(TmpInstance(path_graph(n), complete_graph(n)), n * n, (n - 1) * (n - 2) // 2)
+              for n in (3, 4, 5)]
+    for inst, ms_at_mt, ms in cases:
+        search = RelativeFrameSearch(inst)
+        out = search.cheaper_swaps(ms_at_mt)
+        assert out.exact and out.value == ms
+        solution = search.witness(out)
+        assert all(len(m) == 1 for m in solution.matchings)
+        assert len(solution.matchings) == out.value <= ms_at_mt - 1
+        check = validate_swap_solution(inst, solution)
+        assert check.valid and check.swaps == out.value

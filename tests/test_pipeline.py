@@ -178,6 +178,18 @@ def test_search_certifies_tree_dense_instances(seed, no_highs):
     assert "min_swaps_overall" not in res.timings
 
 
+def test_search_certifies_path7_complete(no_highs):
+    # criterion 03's closed forms at n = 7; the cheaper search over single
+    # swaps proves ms = ms_at_mt within SEARCH_BUDGET, so HiGHS never runs
+    inst = TmpInstance(path_graph(7), complete_graph(7))
+    res = solve_min_swaps(inst)
+    assert res.complete
+    assert (res.mt, res.ms_at_mt, res.ms) == (5, 15, 15)
+    assert res.notes[-1].startswith("certified by search: no solution has fewer than 15 swaps")
+    check = validate_swap_solution(inst, res.swap_solution)
+    assert check.valid and check.swaps == 15
+
+
 def test_partial_search_budgets_match_oracle(monkeypatch):
     # budgets that run out in each of the three searches leave HiGHS a
     # narrowed phase 1, a plain phase 2 or a phase 3 pinned by the search
