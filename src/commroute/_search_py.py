@@ -147,11 +147,12 @@ def _goal_test(num_gates: int, embeds):
 class StepTables(NamedTuple):
     """The E(H) mask `base` and, per matching, the (shift, low mask) delta
     swaps `deltas` that apply sigma_m to a node-pair mask and its swap
-    count `sizes`. Built once per instance and shared by its searches."""
+    count `sizes`. Built once per hardware graph and shared, read-only, by
+    every search on it."""
 
     base: int
-    deltas: list[list[tuple[int, int]]]
-    sizes: list[int]
+    deltas: tuple[tuple[tuple[int, int], ...], ...]
+    sizes: tuple[int, ...]
 
 
 def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
@@ -159,7 +160,7 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
     drawn from the hardware edges hw_edges; pair_bit maps u * n + v to the
     bit of the node pair {u, v}."""
     base = 0
-    per_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    per_edge: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for u, v in hw_edges:
         base |= 1 << pair_bit[u * n + v]
         low: dict[int, int] = {}
@@ -167,9 +168,9 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
             if x != u and x != v:
                 a, b = sorted((pair_bit[u * n + x], pair_bit[v * n + x]))
                 low[b - a] = low.get(b - a, 0) | 1 << a
-        per_edge[u, v] = list(low.items())
-    deltas = [[d for e in m for d in per_edge[e]] for m in matchings]
-    return StepTables(base, deltas, [len(m) for m in matchings])
+        per_edge[u, v] = tuple(low.items())
+    deltas = tuple(tuple(d for e in m for d in per_edge[e]) for m in matchings)
+    return StepTables(base, deltas, tuple(len(m) for m in matchings))
 
 
 def min_steps(tables, starts, num_gates, embeds, budget=inf):

@@ -13,19 +13,33 @@ kernel's docstring proves why that one search covers every start placement
 and why the labels the tokens carry need not be part of the state. The
 kernel functions are looked up on that module at every call, so a wrapper
 installed on _search_py (a profiler or tracer) sees every search.
+
+Prepared once per graph. Many gate sets are routed on one device, so what
+depends on the hardware alone is built once per hardware `Graph` and kept
+in a weak-key table (`_hardware_tables`): its matchings, the ends of each
+node-pair bit, the delta-swap step tables, the one-edge matchings' share of them and
+the two gain bounds. What depends on the gate graph alone, its
+`embedding_order`, is kept per gate `Graph` the same way in `solutions`.
+An entry lives as long as the caller's graph (or an equal one that was
+first), and holds no reference to it. Only complete matching enumerations
+are kept, and a search charges the same work whether it finds its tables
+there or builds them, so a budgeted answer repeats to the unit.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import islice
 from math import inf
+from typing import NamedTuple
 
 from . import _search_py
-from ._search_py import Outcome
+from ._search_py import Outcome, StepTables
 from .bounds import cheaper_swap_floor, max_gain_per_step, max_gain_per_swap
 from .graphs import Graph, iter_matchings
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solutions import (
+    Matching,
     SwapSolution,
     TmpInstance,
     embed_masks,
@@ -52,6 +66,44 @@ def _check_size(inst: TmpInstance, node_limit: int) -> None:
         )
 
 
+class HardwareTables(NamedTuple):
+    """What the searches need of one hardware graph, all of it read-only:
+    every nonempty matching, the node-pair ends (a, 1 << b, b, 1 << a) of
+    each pair bit, the StepTables of the matchings, the indices of the
+    one-edge matchings and their StepTables, and the two gain bounds."""
+
+    matchings: tuple[Matching, ...]
+    ends: tuple[tuple[int, int, int, int], ...]
+    steps: StepTables
+    singles: tuple[int, ...]
+    single_steps: StepTables
+    swap_gain: int
+    step_gain: int
+
+
+# hardware Graph -> its HardwareTables, for as long as the Graph lives
+_hardware_tables: weakref.WeakKeyDictionary[Graph, HardwareTables] = weakref.WeakKeyDictionary()
+
+
+def _build_tables(hw: Graph, matchings: tuple[Matching, ...]) -> HardwareTables:
+    """The HardwareTables of hw from the complete list of its nonempty
+    matchings. Nothing in them refers to hw, so they do not keep it alive."""
+    n = hw.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pair_bit = [0] * (n * n)
+    for bit, (a, b) in enumerate(pairs):
+        pair_bit[a * n + b] = bit
+        pair_bit[b * n + a] = bit
+    steps = _search_py.step_tables(n, matchings, hw.edges, pair_bit)
+    singles = tuple(mi for mi, m in enumerate(matchings) if len(m) == 1)
+    single_steps = steps._replace(
+        deltas=tuple(steps.deltas[mi] for mi in singles), sizes=(1,) * len(singles))
+    return HardwareTables(
+        matchings, tuple((a, 1 << b, b, 1 << a) for a, b in pairs), steps, singles,
+        single_steps, max_gain_per_swap(hw), max_gain_per_step(hw),
+    )
+
+
 class RelativeFrameSearch:
     """The kernel's two searches on one instance, under one work budget.
 
@@ -62,14 +114,22 @@ class RelativeFrameSearch:
     one-edge matchings only, one swap per step, which the serialization
     lemma (`cheaper_swap_floor`) shows loses no swap optimum. A goal
     state's path of matching indices replays into the label frame for
-    `witness`. The delta-swap tables of the matchings, the one-edge
-    matchings' share of them and the gate graph's `embedding_order` are
-    built once here and shared by every search on the instance.
+    `witness`.
+
+    The hardware's HardwareTables (its matchings, their delta-swap tables,
+    the one-edge matchings' share of them and the gain bounds) are built
+    once per hardware `Graph` and the gate graph's `embedding_order` once
+    per gate `Graph`; every search on either graph shares them. Both live
+    in weak-key tables, so they go when the caller's graph does. Only a
+    complete enumeration of the matchings is kept: a budget below the
+    matching count stops the enumeration at budget + 1 and keeps nothing.
 
     Work counts the hardware matchings enumerated, the successors the
     searches generate, and for each embedding test the node pairs in the
     mask, read once into node-adjacency bitmasks, plus the vertex
-    placements `embed_masks` tries. It never counts time, so a
+    placements `embed_masks` tries. The enumeration is charged whether the
+    tables are built or found: min(matchings, budget + 1), and a search
+    refuses on the same condition either way. Work never counts time, so a
     budgeted run stops at the same point on every run and machine. With no
     budget every answer is exact; once the budget is spent, each query
     returns an inexact Outcome whose value is a proven lower bound (0 when
@@ -80,21 +140,26 @@ class RelativeFrameSearch:
         self.inst = inst
         self.left = inf if budget is None else budget
         self.work = 0
-        n = inst.num_nodes
-        # the number of matchings grows exponentially with the hardware, so the
-        # enumeration stops as soon as it would exceed the budget
-        stop = None if budget is None else budget + 2
-        self._matchings = list(islice(iter_matchings(inst.hardware), 1, stop))  # skip the empty one
-        self._charge(len(self._matchings))
+        hw = inst.hardware
+        tables = _hardware_tables.get(hw)
+        if tables is None:
+            # the number of matchings grows exponentially with the hardware, so
+            # the enumeration stops as soon as it would exceed the budget
+            stop = None if budget is None else budget + 2
+            found = tuple(islice(iter_matchings(hw), 1, stop))  # skip the empty one
+            count = len(found)
+            if budget is None or count <= budget:  # complete: keep it
+                tables = _hardware_tables[hw] = _build_tables(hw, found)
+        else:
+            count = len(tables.matchings)
+        # a found table costs what building it would have
+        self._charge(count if budget is None else min(count, budget + 1))
         if self.left < 0:
             self._args = None
             return
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        pair_bit = [0] * (n * n)
-        for bit, (a, b) in enumerate(pairs):
-            pair_bit[a * n + b] = bit
-            pair_bit[b * n + a] = bit
-        ends = [(a, 1 << b, b, 1 << a) for a, b in pairs]
+        self._tables = tables
+        n = inst.num_nodes
+        ends = tables.ends
         order = embedding_order(inst.algorithm)
 
         def embeds(mask: int, limit: float) -> tuple[bool | None, int]:
@@ -115,14 +180,9 @@ class RelativeFrameSearch:
                 return None, size + steps
             return image is not None, size + steps
 
-        tables = _search_py.step_tables(n, self._matchings, inst.hardware.edges, pair_bit)
         # in kernel order: step tables, the start mask E(H), gate count and
         # the embedding test
-        self._args = (tables, [tables.base], len(inst.connections), embeds)
-        # the one-edge matchings, as indices into _matchings, and their tables
-        self._singles = [mi for mi, m in enumerate(self._matchings) if len(m) == 1]
-        self._single_tables = tables._replace(
-            deltas=[tables.deltas[mi] for mi in self._singles], sizes=[1] * len(self._singles))
+        self._args = (tables.steps, [tables.steps.base], len(inst.connections), embeds)
 
     def _charge(self, work: int) -> None:
         self.work += work
@@ -140,9 +200,8 @@ class RelativeFrameSearch:
         """Fewest swaps within `steps` steps (A*); -1 if none."""
         if self._args is None:
             return Outcome(0, False, 0)
-        hw = self.inst.hardware
         out = _search_py.min_swaps_within(
-            *self._args, steps, max_gain_per_swap(hw), max_gain_per_step(hw),
+            *self._args, steps, self._tables.swap_gain, self._tables.step_gain,
             budget=self.left,
         )
         self._charge(out.work)
@@ -164,13 +223,13 @@ class RelativeFrameSearch:
         if self._args is None:
             return Outcome(0, False, 0)
         cap = ms_at_mt - 1
-        gain = max_gain_per_swap(self.inst.hardware)
+        gain = self._tables.swap_gain
         out = _search_py.min_swaps_within(
-            self._single_tables, *self._args[1:], cap, gain, gain,
+            self._tables.single_steps, *self._args[1:], cap, gain, gain,
             budget=self.left, max_swaps=cap,
         )
         self._charge(out.work)
-        return out._replace(path=tuple(self._singles[mi] for mi in out.path))
+        return out._replace(path=tuple(self._tables.singles[mi] for mi in out.path))
 
     def settle(self) -> tuple[Outcome, Outcome | None, Outcome | None]:
         """The Outcomes of the breadth-first search (mt), A* at mt (ms_at_mt)
@@ -192,21 +251,26 @@ class RelativeFrameSearch:
         n = self.inst.num_nodes
         tok = list(range(n))
         seen = set(self.inst.hardware.edges)
+        matchings = self._tables.matchings
         for mi in out.path:
-            for u, v in self._matchings[mi]:
+            for u, v in matchings[mi]:
                 tok[u], tok[v] = tok[v], tok[u]
             seen.update((min(tok[u], tok[v]), max(tok[u], tok[v]))
                         for u, v in self.inst.hardware.edges)
         start = is_subgraph_placement(TmpInstance(Graph(n, seen), self.inst.algorithm))
         if start is None:
             return None
-        return SwapSolution(start, tuple(self._matchings[mi] for mi in out.path))
+        return SwapSolution(start, tuple(matchings[mi] for mi in out.path))
 
 
 def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
-    """Fewest swap steps over all solutions (breadth-first over placements)."""
+    """Fewest swap steps over all solutions (breadth-first over placements).
+
+    The search's first goal test, on the hardware edges, is the direct
+    embedding test: a gate set already on hardware edges answers 0 there.
+    """
     _check_size(inst, node_limit)
-    if not inst.connections or is_subgraph_placement(inst) is not None:
+    if not inst.connections:
         return 0
     result = RelativeFrameSearch(inst).min_steps().value
     if result < 0:
@@ -233,10 +297,11 @@ def oracle_min_swaps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
     By the serialization lemma (`cheaper_swap_floor`) this is the fewest
     single swaps, one per step, that realize every connection, so one A*
     over the one-edge matchings with no step cap finds it
-    (`RelativeFrameSearch.cheaper_swaps` at infinity).
+    (`RelativeFrameSearch.cheaper_swaps` at infinity). Its first goal test,
+    on the hardware edges, answers 0 for a gate set already on them.
     """
     _check_size(inst, node_limit)
-    if not inst.connections or is_subgraph_placement(inst) is not None:
+    if not inst.connections:
         return 0
     result = RelativeFrameSearch(inst).cheaper_swaps(inf).value
     if result < 0:

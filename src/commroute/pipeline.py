@@ -241,9 +241,13 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
     res, or add a timeout note and return False.
 
-    An exact mt from the search is the only horizon tried; otherwise the
-    sweep starts at the first layer the search did not finish.
+    An exact mt from the search is the only horizon tried, and it is set on
+    res, with its note, before any solve, so a timeout keeps it; otherwise
+    the sweep starts at the first layer the search did not finish.
     """
+    if steps.exact:
+        res.mt, res.mt_optimal = steps.value, True
+        res.notes.append(f"certified by search: mt = {steps.value} (work {steps.work})")
     # phase 0, the embedding check, is the search's first layer: mt >= 1
     start = steps.value if steps.exact else max(step_lower_bound(inst), steps.value, 1)
     t_cap = start if steps.exact else inst.hardware.n * inst.hardware.n
@@ -267,13 +271,12 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
         raise RuntimeError(f"no feasible step count up to {t_cap}")
     res.timings["find_min_steps"] = phase1
     res.timings["min_swaps_at_min_steps"] = probe
-    res.mt = t
-    res.mt_optimal = True
+    res.mt, res.mt_optimal = t, True
     res.ms_at_mt = attempt.swaps
     res.ms_at_mt_optimal = True
     res.swap_solution = attempt.solution.compacted()
     if steps.exact:
-        res.notes.append(f"certified by search: mt = {t} (work {steps.work})")
+        pass  # mt and its note were set before the first solve
     elif t > start:
         res.notes.append(f"certified by phase-1 solves: mt = {t}, none at {t - 1} steps")
     elif start == steps.value:

@@ -12,6 +12,7 @@ import commroute.scheduler as scheduler
 from commroute.cli import main
 from commroute.graphs import Graph, complete_graph, path_graph, star_graph
 from commroute.milp import SolveResult
+from commroute.milp.models import SolveAttempt
 from commroute.solutions import TmpInstance
 
 
@@ -225,6 +226,20 @@ def test_timeout_exit_code(capsys, tmp_path, monkeypatch):
     code, payload, _ = run(capsys, "solve", str(path))
     assert code == 3
     assert not payload["ms_optimal"]
+
+
+def test_timeout_after_a_search_certified_mt_exit_code(capsys, tmp_path, monkeypatch):
+    # the search proves mt, then the phase-2 solve times out: the output
+    # keeps mt and the run still exits 3
+    inst = pipeline.generate_instance("grid3x3", 0.5, 0)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    monkeypatch.setattr(pipeline, "solve_min_swaps_at",
+                        lambda *args, **kwargs: SolveAttempt("timeout", None, None))
+    code, payload, _ = run(capsys, "solve", str(path), "--time-limit", "1")
+    assert code == 3
+    assert payload["mt"] == 2 and payload["mt_optimal"]
+    assert payload["ms_at_mt"] is None and not payload["ms_at_mt_optimal"]
 
 
 def test_route_schedule_timeout_exit_code(capsys, tmp_path, monkeypatch):

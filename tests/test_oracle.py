@@ -1,9 +1,13 @@
 """Exhaustive-search reference values on hand-checkable instances."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+import commroute.oracle as oracle_module
+import commroute.solutions as solutions_module
 from commroute._search_py import Outcome
 from commroute.graphs import (
     Graph,
@@ -11,6 +15,7 @@ from commroute.graphs import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    iter_matchings,
     path_graph,
     star_graph,
 )
@@ -291,3 +296,116 @@ def test_cheaper_witness_swaps_one_edge_per_step():
         assert len(solution.matchings) == out.value <= ms_at_mt - 1
         check = validate_swap_solution(inst, solution)
         assert check.valid and check.swaps == out.value
+
+
+def _cold(inst):
+    """Drop the tables cached for the instance's graphs (or equal ones)."""
+    oracle_module._hardware_tables.pop(inst.hardware, None)
+    solutions_module._embedding_orders.pop(inst.algorithm, None)
+
+
+def _copy(g):
+    return Graph(g.n, g.edges)
+
+
+def _cache_cases():
+    rng = random.Random(16)
+    cases = [
+        TmpInstance(path_graph(6), star_graph(6)),
+        TmpInstance(path_graph(6), complete_graph(6)),
+        generate_instance("grid3x3", 0.3, 5),
+    ]
+    cases += [TmpInstance(random_tree(5, rng), _dense_gates(5, rng)) for _ in range(3)]
+    return cases
+
+
+def test_cached_tables_keep_every_answer_and_work_count():
+    # a search that builds the tables, one that finds them, and one on equal
+    # but distinct graphs settle alike, to the unit of work and the path
+    for inst in _cache_cases():
+        _cold(inst)
+        fresh = RelativeFrameSearch(inst)
+        assert inst.hardware in oracle_module._hardware_tables
+        want = fresh.settle()
+        hit = RelativeFrameSearch(inst)
+        equal = RelativeFrameSearch(TmpInstance(_copy(inst.hardware), _copy(inst.algorithm)))
+        for search in (hit, equal):
+            assert search.settle() == want
+            assert search.work == fresh.work
+
+
+def test_cached_tables_charge_a_budget_as_building_them_does():
+    # a budget below the matching count refuses with the same work whether
+    # the tables are cached or not, and a refused enumeration keeps nothing
+    for inst in _cache_cases():
+        count = len(all_matchings(inst.hardware, include_empty=False))
+        for budget in (0, count // 2, count - 1):
+            _cold(inst)
+            miss = RelativeFrameSearch(inst, budget)
+            assert inst.hardware not in oracle_module._hardware_tables
+            assert miss.work == budget + 1
+            assert miss.min_steps() == Outcome(0, False, 0)
+            full = RelativeFrameSearch(inst)
+            assert full.min_steps().exact
+            hit = RelativeFrameSearch(inst, budget)
+            assert hit.work == miss.work
+            assert hit.min_steps() == Outcome(0, False, 0)
+        # a budget the enumeration fits in is charged the full count either way
+        _cold(inst)
+        assert RelativeFrameSearch(inst, count).work == count
+        assert RelativeFrameSearch(inst, count).work == count
+
+
+def test_cached_tables_go_with_their_graphs():
+    hw = Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (0, 4)])
+    gates = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (3, 4)])
+    inst = TmpInstance(hw, gates)
+    search = RelativeFrameSearch(inst)
+    assert search.settle()[0].exact
+    assert hw in oracle_module._hardware_tables
+    assert gates in solutions_module._embedding_orders
+    hw_ref, gates_ref = weakref.ref(hw), weakref.ref(gates)
+    del hw, gates, inst, search
+    gc.collect()
+    # the cache kept neither graph alive, and nothing equal to them is cached
+    assert hw_ref() is None and gates_ref() is None
+    assert Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (0, 4)]) not in oracle_module._hardware_tables
+    assert Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (3, 4)]) not in (
+        solutions_module._embedding_orders)
+
+
+def test_oracle_calls_on_one_hardware_enumerate_its_matchings_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return iter_matchings(g)
+
+    monkeypatch.setattr(oracle_module, "iter_matchings", counting)
+    inst = TmpInstance(path_graph(6), star_graph(6))
+    _cold(inst)
+    mt = oracle_min_steps(inst)
+    assert oracle_min_swaps_at(inst, mt) == 4
+    assert oracle_min_swaps(inst) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("inst", [
+    TmpInstance(path_graph(4), path_graph(4)),
+    TmpInstance(path_graph(6), path_graph(3)),  # fewer qubits than nodes
+    TmpInstance(cycle_graph(5), Graph(4, [(0, 1), (1, 2), (2, 3)])),
+    TmpInstance(grid_graph(2, 3), cycle_graph(4)),
+    TmpInstance(path_graph(4), Graph(4, [])),  # no gates
+    TmpInstance(path_graph(4), Graph(2, [])),
+], ids=["path4", "path3-on-path6", "path4-on-cycle5", "cycle4-on-grid2x3", "no-gates",
+        "no-gates-two-qubits"])
+def test_direct_embedding_is_the_first_goal_test(monkeypatch, inst):
+    # the oracle has no embedding pre-check of its own: the search's first
+    # goal test, on the hardware edges, answers 0
+    def refuse(inst):
+        raise AssertionError("the oracle ran a separate embedding check")
+
+    monkeypatch.setattr(oracle_module, "is_subgraph_placement", refuse)
+    assert oracle_min_steps(inst) == 0
+    assert oracle_min_swaps(inst) == 0
+    assert oracle_min_swaps_at(inst, 0) == 0

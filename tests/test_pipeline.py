@@ -297,6 +297,18 @@ def test_timeout_yields_partial_result(monkeypatch, highs_only):
     assert any("timed out" in note for note in res.notes)
 
 
+def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
+    # the search proves mt = 2 here (work 8,235) and its A* at mt runs out;
+    # a timed-out phase-2 solve must not drop that certified mt
+    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
+                        lambda *args, **kwargs: milp_models.SolveAttempt("timeout", None, None))
+    res = solve_min_swaps(generate_instance("grid3x3", 0.5, 0), time_limit=1)
+    assert res.mt == 2 and res.mt_optimal
+    assert res.ms_at_mt is None and not res.ms_at_mt_optimal
+    assert res.notes == ["certified by search: mt = 2 (work 8235)",
+                         "solve timed out while probing 2 steps"]
+
+
 def test_route_example():
     inst = TmpInstance(path_graph(6), star_graph(6))
     res = route(inst)
