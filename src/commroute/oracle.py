@@ -14,16 +14,15 @@ and why the labels the tokens carry need not be part of the state. The
 kernel functions are looked up on that module at every call, so a wrapper
 installed on _search_py (a profiler or tracer) sees every search.
 
-Prepared once per graph. Many gate sets are routed on one device, so what
-depends on the hardware alone is built once per hardware `Graph` and kept
-in a weak-key table (`_hardware_tables`): its matchings, the ends of each
-node-pair bit, the delta-swap step tables, the one-edge matchings' share of them and
-the two gain bounds. What depends on the gate graph alone, its
-`embedding_order`, is kept per gate `Graph` the same way in `solutions`.
-An entry lives as long as the caller's graph (or an equal one that was
-first), and holds no reference to it. Only complete matching enumerations
-are kept, and a search charges the same work whether it finds its tables
-there or builds them, so a budgeted answer repeats to the unit.
+What depends on the hardware alone is built once per hardware `Graph`
+and kept in a weak-key table (`_hardware_tables`): its matchings, the ends
+of each node-pair bit, the delta-swap step tables, the one-edge matchings'
+share of them and the two gain bounds. The oracle's three queries on one
+instance, and every later search on that device, share them. An entry
+lives as long as the caller's graph (or an equal one that was first), and
+holds no reference to it. Only complete matching enumerations are kept,
+and a search charges the same work whether it finds its tables there or
+builds them, so a budgeted answer repeats to the unit.
 """
 
 from __future__ import annotations
@@ -118,11 +117,11 @@ class RelativeFrameSearch:
 
     The hardware's HardwareTables (its matchings, their delta-swap tables,
     the one-edge matchings' share of them and the gain bounds) are built
-    once per hardware `Graph` and the gate graph's `embedding_order` once
-    per gate `Graph`; every search on either graph shares them. Both live
-    in weak-key tables, so they go when the caller's graph does. Only a
+    once per hardware `Graph` and shared by every search on it; they live
+    in a weak-key table, so they go when the caller's graph does. Only a
     complete enumeration of the matchings is kept: a budget below the
     matching count stops the enumeration at budget + 1 and keeps nothing.
+    The gate graph's `embedding_order` is computed once per search.
 
     Work counts the hardware matchings enumerated, the successors the
     searches generate, and for each embedding test the node pairs in the

@@ -271,20 +271,19 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
         raise RuntimeError(f"no feasible step count up to {t_cap}")
     res.timings["find_min_steps"] = phase1
     res.timings["min_swaps_at_min_steps"] = probe
-    res.mt, res.mt_optimal = t, True
     res.ms_at_mt = attempt.swaps
     res.ms_at_mt_optimal = True
     res.swap_solution = attempt.solution.compacted()
-    if steps.exact:
-        pass  # mt and its note were set before the first solve
-    elif t > start:
-        res.notes.append(f"certified by phase-1 solves: mt = {t}, none at {t - 1} steps")
-    elif start == steps.value:
-        res.notes.append(
-            f"certified by search: mt = {t}, none within {t - 1} steps (work {steps.work})"
-        )
-    else:
-        res.notes.append(f"certified by bound: mt = {t}, the step lower bound")
+    if not steps.exact:
+        res.mt, res.mt_optimal = t, True
+        if t > start:
+            res.notes.append(f"certified by phase-1 solves: mt = {t}, none at {t - 1} steps")
+        elif start == steps.value:
+            res.notes.append(
+                f"certified by search: mt = {t}, none within {t - 1} steps (work {steps.work})"
+            )
+        else:
+            res.notes.append(f"certified by bound: mt = {t}, the step lower bound")
     res.notes.append(f"certified by phase-2 solve: ms_at_mt = {res.ms_at_mt}")
     return True
 

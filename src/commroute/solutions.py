@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -339,25 +338,9 @@ class EmbeddingOrder(NamedTuple):
     degree: tuple[int, ...]
 
 
-# gate Graph -> its EmbeddingOrder, for as long as the Graph lives
-_embedding_orders: weakref.WeakKeyDictionary[Graph, EmbeddingOrder] = weakref.WeakKeyDictionary()
-
-
 def embedding_order(a: Graph) -> EmbeddingOrder:
     """Connected order: next the vertex with the most neighbours already
-    placed, then the one of higher degree, then the lower index.
-
-    Built once per gate graph: the order is kept in a weak-key table, so
-    every embedding test on a (or on an equal graph while a lives) shares
-    it, from `embed_within` and `is_subgraph_placement` to the oracle's
-    searches, and it goes when a does. It holds no reference to a."""
-    order = _embedding_orders.get(a)
-    if order is None:
-        order = _embedding_orders[a] = _connected_order(a)
-    return order
-
-
-def _connected_order(a: Graph) -> EmbeddingOrder:
+    placed, then the one of higher degree, then the lower index."""
     placed_nbrs = [0] * a.n
     left = set(range(a.n))
     position = [0] * a.n
