@@ -15,6 +15,10 @@ from .graphs import Graph
 from .solutions import TmpInstance
 
 
+class InfeasibleInstanceError(ValueError):
+    """A proof that no swap sequence realizes every connection."""
+
+
 def max_gain_per_swap(h: Graph) -> int:
     """max over edges {i,j} of |N(i) u N(j)| - |N(i) n N(j)| - 2; 0 if no edges."""
     best = 0
@@ -46,7 +50,7 @@ def _deficit_bound(inst: TmpInstance, capacity: int, what: str) -> int:
     if deficit <= 0:
         return 0
     if capacity == 0:
-        raise ValueError(
+        raise InfeasibleInstanceError(
             f"no {what} can newly realize a connection on this hardware graph, "
             "but more connections exist than hardware edges: instance is infeasible"
         )

@@ -1,7 +1,19 @@
 """Command-line surface: one subcommand per pipeline stage, JSON out.
 
-Exit codes: 0 success, 2 infeasible or failed validation, 3 solver gave
-up before proving optimality, 4 bad input.
+Every subcommand prints one JSON document (and writes it to --out). The
+exit code and the stream of an error are decided in `main` alone, from
+what the subcommand returns or raises:
+
+    exit  raised                     returned                     JSON on
+    0     -                          a result                     stdout
+    2     InfeasibleInstanceError    verify: invalid; oracle      stdout
+                                     --steps: no solution
+    3     ScheduleSolveError         solve / route: incomplete    stdout
+    4     InputError, ValueError     -                            stderr
+
+Exit 4 covers every malformed input: an unreadable or unparsable file, an
+option value the library refuses, an unwritable --out and a command line
+argparse rejects. An error's JSON is {"error": message}.
 """
 
 from __future__ import annotations
@@ -12,19 +24,17 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import bound_report
+from .bounds import InfeasibleInstanceError, bound_report
 from .constructive import dfs_swap_solve
 from .graphs import Graph
 from .oracle import (
     DEFAULT_NODE_LIMIT,
-    InfeasibleInstanceError,
     oracle_min_steps,
     oracle_min_swaps,
     oracle_min_swaps_at,
 )
 from .pipeline import (
     HARDWARE_PRESETS,
-    PipelineResult,
     circuit_ingest,
     generate_instance,
     route,
@@ -50,32 +60,35 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def _load(path: str, parse, what: str):
+    """parse() of the JSON in path; a file it refuses is an InputError."""
+    try:
+        data = json.loads(_read(path))
+    except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _load_instance(path: str) -> TmpInstance:
-    try:
-        return TmpInstance.from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad instance file {path}: {exc}") from exc
+    return _load(path, TmpInstance.from_dict, "instance")
 
 
 def _resolve_hardware(args) -> Graph:
-    if args.hardware == "custom":
-        if not args.hardware_file:
-            raise InputError("--hardware custom requires --hardware-file")
-        try:
-            return Graph.from_dict(_load_json(args.hardware_file))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad hardware file {args.hardware_file}: {exc}") from exc
-    return HARDWARE_PRESETS[args.hardware]()
+    if args.hardware != "custom":
+        return HARDWARE_PRESETS[args.hardware]()
+    if not args.hardware_file:
+        raise InputError("--hardware custom requires --hardware-file")
+    return _load(args.hardware_file, Graph.from_dict, "hardware")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -84,7 +97,10 @@ def _emit(payload: dict, out: str | None) -> None:
     file nor the exit code."""
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -93,86 +109,44 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
-    hardware = _resolve_hardware(args)
-    try:
-        inst = generate_instance(hardware, args.density, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    inst = generate_instance(_resolve_hardware(args), args.density, args.seed)
     _emit(inst.to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    inst = _load_instance(args.instance)
-    try:
-        report = bound_report(inst)
-    except ValueError as exc:  # the deficit bounds' proof that no solution exists
-        _emit({"error": str(exc)}, args.out)
-        return EXIT_INFEASIBLE
-    _emit(report.to_dict(), args.out)
+    _emit(bound_report(_load_instance(args.instance)).to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        if args.steps is not None:
-            ms_at = oracle_min_swaps_at(inst, args.steps, node_limit=args.node_limit)
-            _emit({"steps": args.steps, "ms_at": ms_at, "feasible": ms_at is not None},
-                  args.out)
-            return EXIT_OK if ms_at is not None else EXIT_INFEASIBLE
-        mt = oracle_min_steps(inst, node_limit=args.node_limit)
-        ms = oracle_min_swaps(inst, node_limit=args.node_limit)
-        _emit({"mt": mt, "ms": ms}, args.out)
-        return EXIT_OK
-    except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
-        _emit({"error": str(exc)}, args.out)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _run_pipeline(args, runner) -> PipelineResult | None:
-    """The runner's result, emitted; None when the instance has no solution."""
-    inst = _load_instance(args.instance)
-    try:
-        res = runner(inst, args.time_limit)
-    except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
-        _emit({"error": str(exc)}, args.out)
-        return None
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(res.to_dict(), args.out)
-    return res
+    if args.steps is not None:
+        ms_at = oracle_min_swaps_at(inst, args.steps, node_limit=args.node_limit)
+        _emit({"steps": args.steps, "ms_at": ms_at, "feasible": ms_at is not None}, args.out)
+        return EXIT_OK if ms_at is not None else EXIT_INFEASIBLE
+    mt = oracle_min_steps(inst, node_limit=args.node_limit)
+    ms = oracle_min_swaps(inst, node_limit=args.node_limit)
+    _emit({"mt": mt, "ms": ms}, args.out)
+    return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    res = _run_pipeline(args, solve_min_swaps)
-    if res is None:
-        return EXIT_INFEASIBLE
+    res = solve_min_swaps(_load_instance(args.instance), args.time_limit)
+    _emit(res.to_dict(), args.out)
     return EXIT_OK if res.complete else EXIT_PARTIAL
 
 
 def cmd_route(args) -> int:
-    res = _run_pipeline(args, route)
-    if res is None:
-        return EXIT_INFEASIBLE
+    res = route(_load_instance(args.instance), args.time_limit)
+    _emit(res.to_dict(), args.out)
     return EXIT_OK if res.complete and res.routed_circuit is not None else EXIT_PARTIAL
 
 
 def cmd_schedule(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        sol = SwapSolution.from_dict(_load_json(args.solution))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad solution file {args.solution}: {exc}") from exc
-    try:
-        outcome = schedule_circuit(inst, sol, time_limit=args.time_limit)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except ScheduleSolveError as exc:
-        _emit({"error": str(exc)}, args.out)
-        return EXIT_PARTIAL
+    sol = _load(args.solution, SwapSolution.from_dict, "solution")
+    outcome = schedule_circuit(inst, sol, time_limit=args.time_limit)
     _emit({
         "circuit": outcome.circuit.to_dict(),
         "extra_layers": outcome.extra_layers,
@@ -183,11 +157,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
-    hardware = _resolve_hardware(args)
-    try:
-        sol, trace = dfs_swap_solve(hardware)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    sol, trace = dfs_swap_solve(_resolve_hardware(args))
     _emit({
         "solution": sol.to_dict(),
         "steps": sol.steps,
@@ -198,16 +168,11 @@ def cmd_heuristic(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    hardware = _resolve_hardware(args)
-    g = hardware_to_bipartite(hardware)
-    try:
-        constraints = exact_description(g, args.relation)
-        report = verify_integer_hull(
-            g, args.relation, num_objectives=args.objectives, seed=args.seed
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    payload = dict(report)
+    g = hardware_to_bipartite(_resolve_hardware(args))
+    constraints = exact_description(g, args.relation)
+    payload = dict(verify_integer_hull(
+        g, args.relation, num_objectives=args.objectives, seed=args.seed
+    ))
     payload["constraints"] = [c.tag for c in constraints]
     _emit(payload, args.out)
     return EXIT_OK
@@ -217,29 +182,19 @@ def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     if (args.solution is None) == (args.circuit is None):
         raise InputError("pass exactly one of --solution / --circuit")
-    try:
-        if args.solution:
-            sol = SwapSolution.from_dict(_load_json(args.solution))
-            verdict = validate_swap_solution(inst, sol)
-        else:
-            circ = RoutedCircuit.from_dict(_load_json(args.circuit))
-            verdict = validate_routed_circuit(inst, circ)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad solution/circuit file: {exc}") from exc
+    if args.solution:
+        sol = _load(args.solution, SwapSolution.from_dict, "solution")
+        verdict = validate_swap_solution(inst, sol)
+    else:
+        circ = _load(args.circuit, RoutedCircuit.from_dict, "circuit")
+        verdict = validate_routed_circuit(inst, circ)
     _emit(verdict.to_dict(), args.out)
     return EXIT_OK if verdict.valid else EXIT_INFEASIBLE
 
 
 def cmd_ingest(args) -> int:
     hardware = _resolve_hardware(args)
-    try:
-        text = Path(args.gates).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.gates}: {exc}") from exc
-    try:
-        inst = circuit_ingest(text, hardware)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    inst = circuit_ingest(_read(args.gates), hardware)
     _emit(inst.to_dict(), args.out)
     return EXIT_OK
 
@@ -330,11 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        try:
+            return args.func(args)
+        except InfeasibleInstanceError as exc:  # a ValueError too, so caught first
+            _emit({"error": str(exc)}, args.out)
+            return EXIT_INFEASIBLE
+        except ScheduleSolveError as exc:
+            _emit({"error": str(exc)}, args.out)
+            return EXIT_PARTIAL
+    except (InputError, ValueError) as exc:  # also what _emit raises just above
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
 

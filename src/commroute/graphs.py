@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -13,11 +14,14 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def _parse_int(value) -> int:
-    """A node or token number read from JSON; int() would truncate 1.9 to 1
-    and read true as 1, so floats and bools are refused."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """A node or token number read from JSON. int() would truncate 1.9 to 1,
+    read true as 1 and " 1_0 " as 10, so only integers are accepted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _parse_edge(pair) -> tuple[int, int]:

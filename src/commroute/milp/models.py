@@ -251,11 +251,11 @@ def add_hardware_symmetry(model: MilpModel, inst: TmpInstance, *, steps: int) ->
 def add_complete_placement_fixing(
     model: MilpModel,
     inst: TmpInstance,
-    placement: TokenPlacement | None = None,
     *,
     steps: int,
 ) -> MilpModel:
-    """Fix the full middle placement; sound only for all-pairs gate sets.
+    """Fix the full middle placement to the identity; sound only for
+    all-pairs gate sets.
 
     When every token pair is a gate, any full placement can be designated
     as the middle one without losing optimal solutions, and tokens can
@@ -267,17 +267,14 @@ def add_complete_placement_fixing(
             "full-placement fixing needs a gate between every pair of tokens"
         )
     n = inst.hardware.n
-    if placement is None:
-        placement = TokenPlacement.identity(n)
     k = max(1, T // 2)
     dist = inst.hardware.distances
     for p in range(n):
-        model.fix_var(_w(k, p, placement.node_of(p)), 1.0)
+        model.fix_var(_w(k, p, p), 1.0)
     for t in range(1, T + 1):
         for p in range(n):
-            home = placement.node_of(p)
             for j in range(n):
-                if dist[home][j] >= 1 + abs(k - t):
+                if dist[p][j] >= 1 + abs(k - t):
                     model.fix_var(_w(t, p, j), 0.0)
     return model
 

@@ -34,7 +34,12 @@ from typing import NamedTuple
 
 from . import _search_py
 from ._search_py import Outcome, StepTables
-from .bounds import cheaper_swap_floor, max_gain_per_step, max_gain_per_swap
+from .bounds import (
+    InfeasibleInstanceError,
+    cheaper_swap_floor,
+    max_gain_per_step,
+    max_gain_per_swap,
+)
 from .graphs import Graph, iter_matchings
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solutions import (
@@ -50,10 +55,6 @@ DEFAULT_NODE_LIMIT = 7
 
 
 class SizeLimitError(ValueError):
-    pass
-
-
-class InfeasibleInstanceError(ValueError):
     pass
 
 

@@ -28,11 +28,11 @@ import time
 from dataclasses import dataclass, field
 from math import ceil
 
-from .bounds import cheaper_swap_floor, step_lower_bound
+from .bounds import InfeasibleInstanceError, cheaper_swap_floor, step_lower_bound
 from .graphs import Graph, bridged_cycles_graph, grid_graph
 from .milp.backends import ScipyBackend, check_time_limit
 from .milp.models import build_swap_step_model, decode_solution, solve_min_swaps_at
-from .oracle import InfeasibleInstanceError, RelativeFrameSearch
+from .oracle import RelativeFrameSearch
 from .scheduler import ScheduleOutcome, ScheduleSolveError, schedule_circuit
 from .solutions import (
     RoutedCircuit,
@@ -66,11 +66,21 @@ class PipelineResult:
     swap_solution: SwapSolution | None = None
     routed_circuit: RoutedCircuit | None = None
     schedule: ScheduleOutcome | None = None
-    mt_optimal: bool = False
-    ms_at_mt_optimal: bool = False
-    ms_optimal: bool = False
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+
+    # each number is set only once it is proven optimal
+    @property
+    def mt_optimal(self) -> bool:
+        return self.mt is not None
+
+    @property
+    def ms_at_mt_optimal(self) -> bool:
+        return self.ms_at_mt is not None
+
+    @property
+    def ms_optimal(self) -> bool:
+        return self.ms is not None
 
     @property
     def complete(self) -> bool:
@@ -117,8 +127,8 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     InfeasibleInstanceError, and one that runs out of budget leaves the
     instance refused with ValueError.
 
-    On a solver timeout the result carries whatever was established, with
-    the optimality flags of the missing pieces left False. `timings` holds
+    On a solver timeout the result carries whatever was established; the
+    missing numbers stay None and their optimality flags False. `timings` holds
     the wall time of the search and of each HiGHS phase's model builds,
     solves and decodes: `find_min_steps` covers the infeasible probes,
     `min_swaps_at_min_steps` the first feasible one and `min_swaps_overall`
@@ -132,7 +142,6 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     direct = is_subgraph_placement(inst)
     if direct is not None:
         res.mt = res.ms_at_mt = res.ms = 0
-        res.mt_optimal = res.ms_at_mt_optimal = res.ms_optimal = True
         res.swap_solution = SwapSolution(direct, ())
         res.timings["embed"] = time.monotonic() - t0
         res.notes.append("gates already adjacent under a direct placement")
@@ -155,7 +164,6 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
 
     if at_mt is not None and at_mt.exact:
         res.mt, res.ms_at_mt = steps.value, at_mt.value
-        res.mt_optimal = res.ms_at_mt_optimal = True
         res.swap_solution = _search_witness(search, at_mt, res.mt)
         res.notes.append(f"certified by search: mt = {res.mt} (work {steps.work})")
         res.notes.append(
@@ -167,14 +175,12 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     floor = cheaper_swap_floor(inst, res.mt)
     if res.ms_at_mt <= floor:
         res.ms = res.ms_at_mt
-        res.ms_optimal = True
         res.notes.append(
             f"certified by bound: a cheaper solution needs at least {floor} swaps, "
             f"so {res.ms_at_mt} is optimal"
         )
         return res
     if cheaper is not None and cheaper.exact:
-        res.ms_optimal = True
         if cheaper.value < 0:
             res.ms = res.ms_at_mt
             res.notes.append(
@@ -208,7 +214,6 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     res.timings["min_swaps_overall"] = time.monotonic() - t0
     if step_result.status == "infeasible":
         res.ms = res.ms_at_mt
-        res.ms_optimal = True
         res.notes.append(
             f"certified by phase-3 solve: no solution with {pinned} to {target} "
             f"swaps fits in {target} single-swap steps"
@@ -221,7 +226,6 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
         res.notes.append(f"step-count solve ended with status {step_result.status}")
         return res
     res.ms = int(round(step_result.objective))
-    res.ms_optimal = True
     res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
     res.swap_solution = step_solution.compacted()
     return res
@@ -246,7 +250,7 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     the sweep starts at the first layer the search did not finish.
     """
     if steps.exact:
-        res.mt, res.mt_optimal = steps.value, True
+        res.mt = steps.value
         res.notes.append(f"certified by search: mt = {steps.value} (work {steps.work})")
     # phase 0, the embedding check, is the search's first layer: mt >= 1
     start = steps.value if steps.exact else max(step_lower_bound(inst), steps.value, 1)
@@ -272,10 +276,9 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     res.timings["find_min_steps"] = phase1
     res.timings["min_swaps_at_min_steps"] = probe
     res.ms_at_mt = attempt.swaps
-    res.ms_at_mt_optimal = True
     res.swap_solution = attempt.solution.compacted()
     if not steps.exact:
-        res.mt, res.mt_optimal = t, True
+        res.mt = t
         if t > start:
             res.notes.append(f"certified by phase-1 solves: mt = {t}, none at {t - 1} steps")
         elif start == steps.value:

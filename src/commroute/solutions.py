@@ -239,6 +239,15 @@ class CircuitLayer:
             "gate_edges": [list(e) for e in self.gate_edges],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> CircuitLayer:
+        if not isinstance(data, dict):
+            raise ValueError(f"circuit layer {data!r} is not an object")
+        return cls(
+            tuple(_parse_edge(e) for e in data.get("swap_edges", [])),
+            tuple(_parse_edge(e) for e in data.get("gate_edges", [])),
+        )
+
 
 @dataclass(frozen=True)
 class RoutedCircuit:
@@ -263,13 +272,7 @@ class RoutedCircuit:
     def from_dict(cls, data: dict) -> RoutedCircuit:
         if not isinstance(data, dict) or "initial" not in data or "layers" not in data:
             raise ValueError("routed circuit object needs 'initial' and 'layers'")
-        layers = tuple(
-            CircuitLayer(
-                tuple(_parse_edge(e) for e in layer.get("swap_edges", [])),
-                tuple(_parse_edge(e) for e in layer.get("gate_edges", [])),
-            )
-            for layer in data["layers"]
-        )
+        layers = tuple(CircuitLayer.from_dict(layer) for layer in data["layers"])
         return cls(TokenPlacement(tuple(_parse_int(x) for x in data["initial"])), layers)
 
 

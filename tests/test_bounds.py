@@ -5,6 +5,7 @@ import random
 import pytest
 
 from commroute.bounds import (
+    InfeasibleInstanceError,
     bound_report,
     max_gain_per_step,
     max_gain_per_swap,
@@ -76,7 +77,7 @@ def test_infeasible_instance_detected():
     # disconnected hardware where no swap ever gains a connection
     h = Graph(4, [(0, 1), (2, 3)])
     inst = TmpInstance(h, complete_graph(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleInstanceError):
         swap_lower_bound(inst)
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import commroute
+import commroute.cli as cli
 import commroute.pipeline as pipeline
 import commroute.scheduler as scheduler
+from commroute.bounds import InfeasibleInstanceError
 from commroute.cli import main
 from commroute.graphs import Graph, complete_graph, path_graph, star_graph
 from commroute.milp import SolveResult
@@ -274,6 +276,7 @@ def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch
     (["heuristic", "--hardware", "custom"], "--hardware-file"),
     (["oracle", "{instance}", "--node-limit", "0"], "oracle limit is 0"),
     (["ingest", "{gates}"], "expected two qubit labels"),
+    (["ingest", "{binary}"], "cannot read"),
     (["bounds", "{gates}"], "is not valid JSON"),
     (["schedule", "{instance}", "{solution}"], "initial placement has size 2, expected 3"),
     (["heuristic", "--hardware", "custom", "--hardware-file", "{graph}"],
@@ -281,17 +284,26 @@ def test_schedule_timeout_exit_code(capsys, tmp_path, tiny_instance, monkeypatch
     (["heuristic", "--hardware", "custom", "--hardware-file", "{float_graph}"],
      "expected an integer, got 4.7"),
     (["verify", "{instance}", "--solution", "{float_solution}"], "expected an integer, got 1.5"),
+    (["heuristic", "--hardware", "custom", "--hardware-file", "{string_graph}"],
+     "expected an integer, got '4'"),
+    (["verify", "{instance}", "--solution", "{string_solution}"], "expected an integer, got '1'"),
+    (["verify", "{instance}", "--circuit", "{int_layer_circuit}"],
+     "circuit layer 5 is not an object"),
     (["solve", "{instance}", "--time-limit", "0"], "time_limit must be positive"),
     (["route", "{instance}", "--time-limit", "-1"], "time_limit must be positive"),
     (["schedule", "{instance}", "{valid_solution}", "--time-limit", "0"],
      "time_limit must be positive"),
 ], ids=["generate-density", "heuristic-no-file", "oracle-node-limit", "ingest-one-label",
+        "ingest-not-utf8",
         "bounds-bad-instance", "schedule-wrong-size", "heuristic-bad-graph",
-        "heuristic-float-graph", "verify-float-solution", "solve-zero-time-limit",
+        "heuristic-float-graph", "verify-float-solution", "heuristic-string-graph",
+        "verify-string-solution", "verify-int-layer", "solve-zero-time-limit",
         "route-negative-time-limit", "schedule-zero-time-limit"])
 def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
     gates = tmp_path / "gates.txt"
     gates.write_text("a b\nc\n")
+    binary = tmp_path / "gates.bin"
+    binary.write_bytes(b"\xff\xfe a b\n")
     solution = tmp_path / "sol.json"
     solution.write_text(json.dumps({"initial": [0, 1], "matchings": []}))
     valid_solution = tmp_path / "valid_sol.json"
@@ -303,14 +315,76 @@ def test_input_errors_exit_4(capsys, tmp_path, tiny_instance, argv, message):
     float_graph.write_text(json.dumps({"n": 4.7, "edges": [[0, 1], [1.9, 2], [2, 3]]}))
     float_solution = tmp_path / "float_sol.json"
     float_solution.write_text(json.dumps({"initial": [0, 1.5, 2], "matchings": [[[0, 1]]]}))
-    argv = [a.format(instance=tiny_instance, gates=gates, solution=solution,
+    # int() would read these as the path 0-1-2-3 and the placement (1, 0, 2)
+    string_graph = tmp_path / "string_graph.json"
+    string_graph.write_text(json.dumps({"n": "4", "edges": [[0, 1], [" 1 ", 2], [2, 3]]}))
+    string_solution = tmp_path / "string_sol.json"
+    string_solution.write_text(json.dumps({"initial": ["1", 0, 2], "matchings": [[[0, 1]]]}))
+    int_layer_circuit = tmp_path / "int_layer.json"
+    int_layer_circuit.write_text(json.dumps({"initial": [0, 1, 2], "layers": [5]}))
+    argv = [a.format(instance=tiny_instance, gates=gates, binary=binary, solution=solution,
                      valid_solution=valid_solution, graph=graph, float_graph=float_graph,
-                     float_solution=float_solution)
+                     float_solution=float_solution, string_graph=string_graph,
+                     string_solution=string_solution, int_layer_circuit=int_layer_circuit)
             for a in argv]
     code, payload, err = run(capsys, *argv)
     assert code == 4
     assert payload is None
     assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--density", "0.3", "--out", "{tmp}"],
+    # exit 2 before the write fails
+    ["solve", "{unroutable}", "--out", "{tmp}/missing/x.json"],
+], ids=["generate-out-is-directory", "solve-infeasible-out-in-missing-directory"])
+def test_unwritable_out_exits_4(capsys, tmp_path, unroutable_instance, argv):
+    argv = [a.format(tmp=tmp_path, unroutable=unroutable_instance) for a in argv]
+    code, payload, err = run(capsys, *argv)
+    assert code == 4
+    assert payload is None
+    assert "cannot write" in json.loads(err)["error"]
+
+
+# each subcommand: its arguments, and the library call it hands the input to
+SUBCOMMANDS = {
+    "generate": (["--density", "0.3"], "generate_instance"),
+    "bounds": (["{instance}"], "bound_report"),
+    "oracle": (["{instance}"], "oracle_min_steps"),
+    "solve": (["{instance}"], "solve_min_swaps"),
+    "route": (["{instance}"], "route"),
+    "schedule": (["{instance}", "{solution}"], "schedule_circuit"),
+    "heuristic": ([], "dfs_swap_solve"),
+    "polytope": ([], "exact_description"),
+    "verify": (["{instance}", "--solution", "{solution}"], "validate_swap_solution"),
+    "ingest": (["{gates}"], "circuit_ingest"),
+}
+
+
+@pytest.mark.parametrize("command, error, expected", [
+    *[(command, ValueError, 4) for command in SUBCOMMANDS],
+    *[(command, InfeasibleInstanceError, 2) for command in ("bounds", "oracle", "solve", "route")],
+])
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, tiny_instance,
+                            command, error, expected):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    args, call = SUBCOMMANDS[command]
+    monkeypatch.setattr(cli, call, refuse)
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
+    gates = tmp_path / "gates.txt"
+    gates.write_text("a b\n")
+    argv = [a.format(instance=tiny_instance, solution=solution, gates=gates) for a in args]
+    code, payload, err = run(capsys, command, *argv)
+    assert code == expected
+    if expected == 4:
+        assert payload is None
+        assert json.loads(err) == {"error": "refused"}
+    else:
+        assert payload == {"error": "refused"}
+        assert not err
 
 
 def test_closed_stdout_keeps_exit_code_and_out_file(tmp_path):
