@@ -224,9 +224,9 @@ def min_steps(tables, starts, num_gates, embeds, budget=inf):
 
 
 def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity,
-                     step_capacity, budget=inf, max_swaps=inf):
-    """Fewest swaps over sequences of at most max_steps steps (and at most
-    max_swaps swaps) whose M holds the gate graph; -1 if none.
+                     step_capacity, budget=inf):
+    """Fewest swaps over sequences of at most max_steps steps whose M holds
+    the gate graph; -1 if none.
 
     swap_capacity bounds how many new pairs one swap can add to M and feeds
     an admissible A* heuristic; step_capacity does the same per step and
@@ -269,8 +269,6 @@ def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity
             counter += 1
     while heap:
         f, g, s, _, mask, link = heapq.heappop(heap)
-        if f > max_swaps:
-            break
         if (s, g) not in pareto[mask]:
             continue  # stale: its dominating entry has popped already
         hit, spent = reached(mask, budget - work)

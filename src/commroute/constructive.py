@@ -123,12 +123,13 @@ def path_sequence(k: int) -> list[tuple[Edge, ...]]:
     return steps
 
 
-def qsst_solve(m: int, validate: bool = True) -> tuple[SwapSolution, dict]:
+def qsst_solve(m: int) -> tuple[SwapSolution, dict]:
     """All-to-all solution on the m-arm spider tree (m*m + 1 nodes).
 
     Runs path shuffles on all arms in parallel, then swaps the root token
     onto the longest arm where it sinks to the bottom and retires; repeats
     until every token has had its turn at the root. O(m^3) steps total.
+    The solution is validated against all-pairs gates before it is returned.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -177,9 +178,7 @@ def qsst_solve(m: int, validate: bool = True) -> tuple[SwapSolution, dict]:
         "steps": solution.steps,
         "swaps": solution.swaps,
     }
-    if validate:
-        inst = TmpInstance(g, complete_graph(n))
-        check = validate_swap_solution(inst, solution)
-        if not check.valid:
-            raise AssertionError(f"qsst construction produced an invalid solution: {check.problems}")
+    check = validate_swap_solution(TmpInstance(g, complete_graph(n)), solution)
+    if not check.valid:
+        raise AssertionError(f"qsst construction produced an invalid solution: {check.problems}")
     return solution, stats

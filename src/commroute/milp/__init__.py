@@ -1,6 +1,6 @@
-"""Integer programming layer: model container, HiGHS solver, builders."""
+"""Integer programming layer: 0/1 minimization container, HiGHS solver, builders."""
 
-from .model import MilpModel, Variable, LinearConstraint, export_lp
+from .model import MilpModel, Variable, LinearConstraint
 from .backends import (
     SolveResult,
     ScipyBackend,
@@ -23,7 +23,6 @@ __all__ = [
     "MilpModel",
     "Variable",
     "LinearConstraint",
-    "export_lp",
     "SolveResult",
     "ScipyBackend",
     "solve_lp_relaxation",

@@ -2,7 +2,7 @@
 
 `_model_arrays` turns the model into the arrays scipy takes, with the
 constraint matrix in compressed sparse rows. `ScipyBackend` solves the
-integer program with `scipy.optimize.milp`; `solve_lp_relaxation` solves
+0/1 program with `scipy.optimize.milp`; `solve_lp_relaxation` solves
 its continuous relaxation by interior point with crossover (vertex optima).
 """
 
@@ -35,11 +35,10 @@ class SolveResult:
 
 
 def _model_arrays(model: MilpModel):
-    """(c, lb, ub, integrality, A, lo, hi) with lo <= A x <= hi row-wise.
+    """(c, lb, ub, A, lo, hi) with lo <= A x <= hi row-wise.
 
-    c is negated for a maximized model, since scipy always minimizes. A is
-    a csr_array built straight from the constraint terms, which the model
-    already keeps merged, sorted and free of zero coefficients.
+    A is a csr_array built straight from the constraint terms, which the
+    model already keeps merged, sorted and free of zero coefficients.
     """
     from scipy import sparse
 
@@ -47,11 +46,8 @@ def _model_arrays(model: MilpModel):
     c = np.zeros(n)
     for i, coeff in model.objective:
         c[i] = coeff
-    if not model.minimize:
-        c = -c
     lb = np.array([v.lb for v in model.variables])
     ub = np.array([v.ub for v in model.variables])
-    integrality = np.array([1 if v.is_integer else 0 for v in model.variables])
     cons = model.constraints
     indptr = np.zeros(len(cons) + 1, dtype=np.int64)
     np.cumsum([len(con.terms) for con in cons], out=indptr[1:])
@@ -61,17 +57,12 @@ def _model_arrays(model: MilpModel):
     a = sparse.csr_array((data, indices, indptr), shape=(len(cons), n))
     lo = np.array([-np.inf if con.sense == "<=" else con.rhs for con in cons])
     hi = np.array([np.inf if con.sense == ">=" else con.rhs for con in cons])
-    return c, lb, ub, integrality, a, lo, hi
+    return c, lb, ub, a, lo, hi
 
 
-def _mip_stats(res, minimize: bool) -> dict:
-    """Node count, dual bound and gap from a milp result, in the model's sense.
-
-    milp always minimizes, so a maximized model's dual bound flips sign.
-    """
+def _mip_stats(res) -> dict:
+    """Node count, dual bound and gap from a milp result."""
     nodes, dual, gap = (res.get(k) for k in ("mip_node_count", "mip_dual_bound", "mip_gap"))
-    if dual is not None and not minimize:
-        dual = -dual
     return {
         "nodes": None if nodes is None else int(nodes),
         "dual_bound": None if dual is None else float(dual),
@@ -80,17 +71,14 @@ def _mip_stats(res, minimize: bool) -> dict:
 
 
 def _solve_result(model: MilpModel, c, res, elapsed: float, **stats) -> SolveResult:
-    """Decode a scipy result: status, values by name, objective in the model's sense."""
+    """Decode a scipy result: status, values by name and objective."""
     status = _STATUS.get(res.status, "unknown")
     if res.x is None:
         if status == "optimal":
             status = "unknown"
         return SolveResult(status, runtime=elapsed, **stats)
-    values = {v.name: float(res.x[v.index]) for v in model.variables}
-    obj = float(np.dot(c, res.x))
-    if not model.minimize:
-        obj = -obj
-    return SolveResult(status, obj, values, elapsed, **stats)
+    values = {v.name: float(x) for v, x in zip(model.variables, res.x)}
+    return SolveResult(status, float(np.dot(c, res.x)), values, elapsed, **stats)
 
 
 def check_time_limit(time_limit: float | None) -> None:
@@ -108,7 +96,7 @@ class ScipyBackend:
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         start = time.monotonic()
-        c, lb, ub, integrality, a, lo, hi = _model_arrays(model)
+        c, lb, ub, a, lo, hi = _model_arrays(model)
         options: dict = {}
         if time_limit is not None:
             options["time_limit"] = time_limit
@@ -117,13 +105,13 @@ class ScipyBackend:
             kwargs["constraints"] = LinearConstraint(a, lo, hi)
         res = milp(
             c,
-            integrality=integrality,
+            integrality=np.ones_like(c),
             bounds=Bounds(lb, ub),
             options=options,
             **kwargs,
         )
         elapsed = time.monotonic() - start
-        return _solve_result(model, c, res, elapsed, **_mip_stats(res, model.minimize))
+        return _solve_result(model, c, res, elapsed, **_mip_stats(res))
 
 
 def solve_lp_relaxation(model: MilpModel) -> SolveResult:
@@ -136,7 +124,7 @@ def solve_lp_relaxation(model: MilpModel) -> SolveResult:
     from scipy.optimize import linprog
 
     start = time.monotonic()
-    c, lb, ub, _, a, lo, hi = _model_arrays(model)
+    c, lb, ub, a, lo, hi = _model_arrays(model)
     eq = lo == hi
     ineq = ~eq  # one finite side each; ">=" rows are negated into "<="
     flip = np.isinf(hi[ineq])

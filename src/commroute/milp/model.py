@@ -1,7 +1,8 @@
-"""Generic mixed-integer linear model container with deterministic LP export.
+"""A 0/1 minimization model container with deterministic LP export.
 
-The container is solver-agnostic: builders declare variables and rows, and
-the backends module assembles them into sparse arrays for a HiGHS solve
+Every integer program commroute builds is a binary program that minimizes:
+builders declare 0/1 variables, rows over them and a minimized objective,
+and the backends module assembles them into sparse arrays for a HiGHS solve
 through scipy. Export is deterministic down to the byte so model builds can
 be golden-tested.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -17,10 +19,8 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 @dataclass
 class Variable:
     name: str
-    lb: float = 0.0
+    lb: float = 0.0  # 0/1, narrowed only by MilpModel.fix_var
     ub: float = 1.0
-    is_integer: bool = True
-    index: int = -1
 
 
 @dataclass
@@ -54,7 +54,9 @@ class MilpModel:
     variables: list[Variable] = field(default_factory=list)
     constraints: list[LinearConstraint] = field(default_factory=list)
     objective: tuple[tuple[int, float], ...] = ()
-    minimize: bool = True
+    # Always True: every model minimizes. Kept as an attribute because the
+    # benchmark's reference LP solver reads it.
+    minimize: ClassVar[bool] = True
     _index: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
@@ -65,17 +67,13 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = 1.0, integer: bool = True) -> int:
+    def add_var(self, name: str) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"variable name {name!r} is not LP-safe")
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
-        if integer and not (lb >= 0.0 and ub <= 1.0):
-            raise ValueError(f"integer variable {name!r} must have bounds within [0,1]")
-        idx = len(self.variables)
-        self.variables.append(Variable(name, lb, ub, integer, idx))
-        self._index[name] = idx
-        return idx
+        self._index[name] = len(self.variables)
+        self.variables.append(Variable(name))
 
     def fix_var(self, name: str, value: float) -> None:
         v = self.variables[self._index[name]]
@@ -84,12 +82,12 @@ class MilpModel:
         v.lb = v.ub = value
 
     def _resolve_terms(self, terms) -> tuple[tuple[int, float], ...]:
-        index, n = self._index, len(self.variables)
+        """(name, coefficient) pairs as sorted (index, coefficient) pairs,
+        repeated names merged and zero coefficients dropped."""
+        index = self._index
         combined: dict[int, float] = {}
-        for ref, coeff in terms:
-            idx = ref if isinstance(ref, int) else index[ref]
-            if not (0 <= idx < n):
-                raise ValueError(f"constraint references unknown variable index {idx}")
+        for name, coeff in terms:
+            idx = index[name]
             combined[idx] = combined.get(idx, 0.0) + float(coeff)
         return tuple((i, c) for i, c in sorted(combined.items()) if c != 0.0)
 
@@ -102,14 +100,12 @@ class MilpModel:
             LinearConstraint(name, self._resolve_terms(terms), sense, float(rhs))
         )
 
-    def set_objective(self, terms, minimize: bool = True) -> None:
+    def set_objective(self, terms) -> None:
         self.objective = self._resolve_terms(terms)
-        self.minimize = minimize
 
     def lp_string(self) -> str:
         names = [v.name for v in self.variables]
-        lines = [f"\\ {self.name}"]
-        lines.append("Minimize" if self.minimize else "Maximize")
+        lines = [f"\\ {self.name}", "Minimize"]
         obj = _terms_text([(names[i], c) for i, c in self.objective])
         lines.append(f" obj: {obj}".rstrip())
         lines.append("Subject To")
@@ -123,17 +119,8 @@ class MilpModel:
                 lines.append(f" {v.name} = {_fmt(v.lb)}")
             else:
                 lines.append(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}")
-        binaries = [v.name for v in self.variables if v.is_integer]
-        if binaries:
+        if names:
             lines.append("Binaries")
-            for name in binaries:
-                lines.append(f" {name}")
+            lines.extend(f" {name}" for name in names)
         lines.append("End")
         return "\n".join(lines) + "\n"
-
-
-def export_lp(model: MilpModel, path: str) -> None:
-    """Write the model as deterministic LP text; same model, same bytes."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(model.lp_string())
-

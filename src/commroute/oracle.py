@@ -226,7 +226,7 @@ class RelativeFrameSearch:
         gain = self._tables.swap_gain
         out = _search_py.min_swaps_within(
             self._tables.single_steps, *self._args[1:], cap, gain, gain,
-            budget=self.left, max_swaps=cap,
+            budget=self.left,
         )
         self._charge(out.work)
         return out._replace(path=tuple(self._tables.singles[mi] for mi in out.path))

@@ -106,9 +106,7 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
 
     The relative-frame search runs first, under SEARCH_BUDGET
     (`RelativeFrameSearch.settle`). What it settles needs no model: the
-    solution comes from the goal state the search reached, and one that
-    `validate_swap_solution` rejects, or whose steps or swaps differ from
-    what the search certified, raises RuntimeError.
+    solution comes from the goal state the search reached.
 
     What the search leaves open HiGHS proves as before, each solve under
     time_limit seconds, which must be positive when given. Phase 1 sweeps the
@@ -121,6 +119,11 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     between every pair of the hardware's tokens, each solve fixes the
     middle placement (`add_complete_placement_fixing`), which keeps the
     optimum.
+
+    Every returned solution, from a search or a HiGHS solve, is a witness
+    checked against its certified numbers: one that `validate_swap_solution`
+    rejects, that takes more steps than it may or whose swaps differ from
+    the certified count raises RuntimeError.
 
     Disconnected hardware is solved when the search settles all three
     numbers; a search that proves no solution exists raises
@@ -164,7 +167,7 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
 
     if at_mt is not None and at_mt.exact:
         res.mt, res.ms_at_mt = steps.value, at_mt.value
-        res.swap_solution = _search_witness(search, at_mt, res.mt)
+        res.swap_solution = _certified(inst, search.witness(at_mt), at_mt.value, res.mt)
         res.notes.append(f"certified by search: mt = {res.mt} (work {steps.work})")
         res.notes.append(
             f"certified by search: ms_at_mt = {res.ms_at_mt} (work {at_mt.work})"
@@ -189,7 +192,9 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
             )
         else:
             res.ms = cheaper.value
-            res.swap_solution = _search_witness(search, cheaper, res.ms_at_mt - 1)
+            res.swap_solution = _certified(
+                inst, search.witness(cheaper), cheaper.value, res.ms_at_mt - 1
+            )
             res.notes.append(f"certified by search: ms = {res.ms} (work {cheaper.work})")
         return res
 
@@ -226,18 +231,18 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
         res.notes.append(f"step-count solve ended with status {step_result.status}")
         return res
     res.ms = int(round(step_result.objective))
+    res.swap_solution = _certified(inst, step_solution.compacted(), res.ms, target)
     res.notes.append(f"certified by phase-3 solve: optimum {res.ms} single-swap steps")
-    res.swap_solution = step_solution.compacted()
     return res
 
 
-def _search_witness(search: RelativeFrameSearch, out, max_steps: int) -> SwapSolution:
-    """The solution of the search's goal state; RuntimeError unless it is
-    valid, within max_steps steps and has exactly out.value swaps."""
-    solution = search.witness(out)
-    check = None if solution is None else validate_swap_solution(search.inst, solution)
-    if check is None or not check.valid or check.steps > max_steps or check.swaps != out.value:
-        raise RuntimeError(f"the search's witness contradicts its {out.value} swaps: {check}")
+def _certified(inst: TmpInstance, solution: SwapSolution | None, swaps: int,
+               max_steps: int) -> SwapSolution:
+    """solution, the witness of a certified swap count; RuntimeError unless
+    it is valid, within max_steps steps and has exactly `swaps` swaps."""
+    check = None if solution is None else validate_swap_solution(inst, solution)
+    if check is None or not check.valid or check.steps > max_steps or check.swaps != swaps:
+        raise RuntimeError(f"the witness contradicts its {swaps} swaps: {check}")
     return solution
 
 
@@ -276,7 +281,7 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     res.timings["find_min_steps"] = phase1
     res.timings["min_swaps_at_min_steps"] = probe
     res.ms_at_mt = attempt.swaps
-    res.swap_solution = attempt.solution.compacted()
+    res.swap_solution = _certified(inst, attempt.solution.compacted(), attempt.swaps, t)
     if not steps.exact:
         res.mt = t
         if t > start:

@@ -25,6 +25,14 @@ from .graphs import Graph
 ENUMERATION_NODE_CAP = 24
 # bases solved per batched SVD in enumerate_polytope_vertices
 _BASIS_BATCH = 4096
+# enumerate_polytope_vertices refuses inputs needing more bases than this,
+# and keeps a solved basis point when it satisfies every row within _VERTEX_TOL
+_MAX_BASES = 500_000
+_VERTEX_TOL = 1e-7
+# verify_integer_hull enumerates vertices up to this dimension, and calls a
+# coordinate integral within _INTEGRALITY_TOL of an integer
+_ENUMERATE_DIM_LIMIT = 12
+_INTEGRALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -266,16 +274,13 @@ def _lp_matrices(g: BipartiteGraph, cons: list[LinearInequality]):
 
 
 def enumerate_polytope_vertices(
-    g: BipartiteGraph,
-    constraints: list[LinearInequality],
-    max_bases: int = 500_000,
-    tol: float = 1e-7,
+    g: BipartiteGraph, constraints: list[LinearInequality]
 ) -> list[tuple[float, ...]]:
     """All vertices of {assignment rows, constraints, unit box}, exactly.
 
     Walks every basis (choice of tight inequalities completing the equality
     rows to full rank), a batch at a time, so the cost is a binomial
-    coefficient; raises ValueError when that exceeds max_bases instead of
+    coefficient; raises ValueError when that exceeds _MAX_BASES instead of
     returning a partial answer.
     """
     import math
@@ -294,9 +299,9 @@ def enumerate_polytope_vertices(
     ub_rhs = np.array(rhs_ub)
     need = dim - np.linalg.matrix_rank(a_eq)
     n_bases = math.comb(len(ub), need)
-    if n_bases > max_bases:
+    if n_bases > _MAX_BASES:
         raise ValueError(
-            f"vertex enumeration needs {n_bases} bases, above the cap of {max_bases}"
+            f"vertex enumeration needs {n_bases} bases, above the cap of {_MAX_BASES}"
         )
     verts: set[tuple[float, ...]] = set()
     combos = itertools.combinations(range(len(ub)), need)
@@ -312,9 +317,9 @@ def enumerate_polytope_vertices(
         full = np.all(sv > rank_tol, axis=1)
         rows, rhs, u, sv, vh = rows[full], rhs[full], u[full], sv[full], vh[full]
         v = np.einsum("kji,kj->ki", vh, np.einsum("kji,kj->ki", u, rhs) / sv)
-        ok = np.max(np.abs(np.einsum("kij,kj->ki", rows, v) - rhs), axis=1) <= tol
-        ok &= np.all(v @ ub.T <= ub_rhs + tol, axis=1)
-        ok &= np.max(np.abs(v @ a_eq.T - b_eq), axis=1) <= tol
+        ok = np.max(np.abs(np.einsum("kij,kj->ki", rows, v) - rhs), axis=1) <= _VERTEX_TOL
+        ok &= np.all(v @ ub.T <= ub_rhs + _VERTEX_TOL, axis=1)
+        ok &= np.max(np.abs(v @ a_eq.T - b_eq), axis=1) <= _VERTEX_TOL
         for vert in np.round(v[ok], 9) + 0.0:
             verts.add(tuple(float(c) for c in vert))
     return sorted(verts)
@@ -326,17 +331,14 @@ def verify_integer_hull(
     constraints: list[LinearInequality] | None = None,
     num_objectives: int = 200,
     seed: int = 0,
-    tol: float = 1e-6,
-    enumerate_dim_limit: int = 12,
-    max_bases: int = 500_000,
 ) -> dict:
     """Probe a description for exactness.
 
     Checks that (a) every bilinear integer point satisfies the constraints,
     (b) every satisfying 0/1 point is a bilinear point, and (c) LP optima
     for randomly drawn objectives land on integral vertices; when the
-    dimension is at most enumerate_dim_limit and the basis count fits under
-    max_bases, all vertices are enumerated exactly as well. Returns a
+    dimension is at most _ENUMERATE_DIM_LIMIT and the basis count fits under
+    _MAX_BASES, all vertices are enumerated exactly as well. Returns a
     report dict; report["integral"] is False with a witness vector when a
     fractional vertex shows up. num_objectives must be at least 1: a report
     that probed no objective would certify nothing.
@@ -384,19 +386,19 @@ def verify_integer_hull(
         )
         if not res.success:
             continue
-        if np.max(np.abs(res.x - np.round(res.x))) > tol:
+        if np.max(np.abs(res.x - np.round(res.x))) > _INTEGRALITY_TOL:
             fractional = res.x.tolist()
             break
     enumerated = None
-    if fractional is None and dim <= enumerate_dim_limit:
+    if fractional is None and dim <= _ENUMERATE_DIM_LIMIT:
         try:
-            verts = enumerate_polytope_vertices(g, constraints, max_bases=max_bases)
+            verts = enumerate_polytope_vertices(g, constraints)
         except ValueError:
             verts = None
         if verts is not None:
             enumerated = len(verts)
             for v in verts:
-                if any(abs(c - round(c)) > tol for c in v):
+                if any(abs(c - round(c)) > _INTEGRALITY_TOL for c in v):
                     fractional = list(v)
                     break
     return {

@@ -50,22 +50,22 @@ def test_infeasible_detected(backend):
 
 
 def mixed_model():
-    # every sense, a continuous variable and a maximized objective
+    # every sense and a fixed variable
     m = MilpModel("mixed")
-    for name in ("a", "b", "c", "d"):
+    for name in ("a", "b", "c", "d", "y"):
         m.add_var(name)
-    m.add_var("y", lb=-1.0, ub=3.0, integer=False)
+    m.fix_var("y", 1.0)
     m.add_constr("le", [("a", 2), ("c", -1)], "<=", 1)
     m.add_constr("ge", [("b", 1), ("y", 0.5), ("d", 3)], ">=", 2)
     m.add_constr("eq", [("a", 1), ("b", 1), ("c", 1), ("d", 1)], "==", 2)
-    m.add_constr("le2", [("y", -4)], "<=", 0)
-    m.set_objective([("a", 5), ("y", -2), ("d", 1)], minimize=False)
+    m.add_constr("le2", [("y", -4), ("d", 1)], "<=", 0)
+    m.set_objective([("a", -5), ("y", 2), ("d", -1)])
     return m
 
 
 def test_model_arrays_match_dense_rows():
     m = mixed_model()
-    c, lb, ub, integrality, a, lo, hi = _model_arrays(m)
+    c, lb, ub, a, lo, hi = _model_arrays(m)
     assert isinstance(a, sparse.csr_array)
     dense = np.zeros((m.num_constraints, m.num_vars))
     for r, con in enumerate(m.constraints):
@@ -73,9 +73,8 @@ def test_model_arrays_match_dense_rows():
             dense[r, i] = coeff
     np.testing.assert_array_equal(a.toarray(), dense)
     np.testing.assert_array_equal(c, [-5, 0, 0, -1, 2])
-    np.testing.assert_array_equal(lb, [0, 0, 0, 0, -1])
-    np.testing.assert_array_equal(ub, [1, 1, 1, 1, 3])
-    np.testing.assert_array_equal(integrality, [1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(lb, [0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(ub, [1, 1, 1, 1, 1])
     np.testing.assert_array_equal(lo, [-np.inf, 2, 2, -np.inf])
     np.testing.assert_array_equal(hi, [1, np.inf, 2, 0])
 
@@ -125,7 +124,7 @@ def test_lp_relaxation_matches_dual_simplex(case):
         model = build_swap_step_model(inst, steps=1)
     else:
         model = build_variant(inst, ModelVariant.from_string(case), steps=1)
-    c, lb, ub, _, a, lo, hi = _model_arrays(model)
+    c, lb, ub, a, lo, hi = _model_arrays(model)
     eq = lo == hi
     leq = np.isfinite(hi) & ~eq
     geq = np.isfinite(lo) & ~eq
@@ -141,7 +140,7 @@ def test_lp_relaxation_matches_dual_simplex(case):
     assert ref.status == 0
     lp = solve_lp_relaxation(model)
     assert lp.status == "optimal"
-    assert lp.objective == pytest.approx(ref.fun if model.minimize else -ref.fun, abs=1e-6)
+    assert lp.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
 def test_scipy_reports_solver_statistics():
@@ -149,12 +148,6 @@ def test_scipy_reports_solver_statistics():
     assert isinstance(res.nodes, int) and res.nodes >= 0
     assert res.dual_bound == pytest.approx(-9)
     assert res.gap == pytest.approx(0)
-
-    flipped = knapsack_model()
-    flipped.set_objective([("a", 5), ("b", 4), ("c", 3)], minimize=False)
-    res = ScipyBackend().solve(flipped)
-    assert res.objective == pytest.approx(9)
-    assert res.dual_bound == pytest.approx(9)
 
     res = solve_lp_relaxation(knapsack_model())
     assert (res.nodes, res.dual_bound, res.gap) == (None, None, None)

@@ -7,6 +7,8 @@ layer metrics built on it. This guard fails instead.
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -72,3 +74,22 @@ def test_pipeline_search_reaches_the_tracer(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["pipeline.phase1_probes"] == 0
     assert metrics["pipeline.solves"] == 0
+
+
+@pytest.mark.parametrize("builder", ["build_variant", "build_swap_step_model"])
+def test_reference_lp_reads_the_model_container(monkeypatch, builder):
+    # references.lp_objective reads the container's objective, rows, bounds
+    # and `minimize` on its own; a change to those attributes that breaks it
+    # would only show in the benchmark's self-check, outside tier-1
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import references
+
+    from commroute import milp
+    from commroute.graphs import complete_graph, grid_graph
+    from commroute.solutions import TmpInstance
+
+    inst = TmpInstance(grid_graph(2, 3), complete_graph(6))
+    model = getattr(milp, builder)(inst, steps=1)
+    ours = milp.solve_lp_relaxation(model)
+    assert ours.status == "optimal"
+    assert references.lp_objective(model) == pytest.approx(ours.objective, abs=1e-6)

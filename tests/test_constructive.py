@@ -98,5 +98,5 @@ def test_qsst_solve_validates(m):
 def test_qsst_step_budget_cubic():
     # steps grow like m^3 on the m-arm spider with m^2+1 nodes
     for m in (2, 3, 4):
-        sol, info = qsst_solve(m, validate=False)
+        sol, info = qsst_solve(m)
         assert sol.steps <= 4 * m ** 3

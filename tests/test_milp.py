@@ -42,7 +42,7 @@ def test_base_model_counts():
 
 def test_base_model_is_all_binary():
     model = build_base(p4k4(), steps=1)
-    assert all(v.is_integer and (v.lb, v.ub) == (0, 1) for v in model.variables)
+    assert all((v.lb, v.ub) == (0, 1) for v in model.variables)
 
 
 def test_variant_from_string():

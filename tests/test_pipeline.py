@@ -27,7 +27,12 @@ from commroute.pipeline import (
     solve_min_swaps,
 )
 from commroute.scheduler import compute_windows
-from commroute.solutions import TmpInstance, validate_routed_circuit, validate_swap_solution
+from commroute.solutions import (
+    SwapSolution,
+    TmpInstance,
+    validate_routed_circuit,
+    validate_swap_solution,
+)
 
 from conftest import connected_graphs, random_connected_graph, random_tree
 
@@ -224,6 +229,21 @@ def test_search_witness_that_contradicts_its_value_raises(monkeypatch, wrong):
     monkeypatch.setattr(search_kernel, "min_swaps_within", wrong_path)
     with pytest.raises(RuntimeError, match="witness"):
         solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+
+
+@pytest.mark.parametrize("owner", [milp_models, pipeline_module], ids=["phase-2", "phase-3"])
+def test_highs_solution_that_contradicts_its_value_raises(monkeypatch, highs_only, owner):
+    # a decode that loses the last matching: phase 2 decodes through
+    # milp.models, phase 3 through the pipeline's own import
+    right = milp_models.decode_solution
+
+    def drop_last(*args, **kwargs):
+        out = right(*args, **kwargs)
+        return SwapSolution(out.initial, out.matchings[:-1])
+
+    monkeypatch.setattr(owner, "decode_solution", drop_last)
+    with pytest.raises(RuntimeError, match="witness"):
+        solve_min_swaps(TmpInstance(path_graph(6), star_graph(6)))
 
 
 def _two_components(*paths: int) -> Graph:

@@ -181,11 +181,12 @@ def test_integer_hull_verified(h):
 
 @pytest.mark.parametrize("num_objectives", [0, -1])
 def test_hull_check_needs_an_objective(num_objectives):
-    # above the enumeration limit no vertex is enumerated, so with no LP
-    # probe either the report would claim integrality on no evidence
+    # the check fires before any probe: above the enumeration limit no vertex
+    # is enumerated, so with no LP probe either the report would claim
+    # integrality on no evidence
     g = hardware_to_bipartite(path_graph(3))
     with pytest.raises(ValueError, match="num_objectives"):
-        verify_integer_hull(g, "eq", num_objectives=num_objectives, enumerate_dim_limit=0)
+        verify_integer_hull(g, "eq", num_objectives=num_objectives)
 
 
 def test_leq_hull_verified():
