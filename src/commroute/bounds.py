@@ -102,7 +102,6 @@ class BoundReport:
     max_gain_per_step: int
     swap_lower: int
     step_lower: int
-    swap_upper: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -110,15 +109,14 @@ class BoundReport:
             "max_gain_per_step": self.max_gain_per_step,
             "swap_lower": self.swap_lower,
             "step_lower": self.step_lower,
-            "swap_upper": self.swap_upper,
         }
 
 
-def bound_report(inst: TmpInstance, min_steps: int | None = None) -> BoundReport:
+def bound_report(inst: TmpInstance) -> BoundReport:
+    """The lower bounds on steps and swaps and the gains they rest on."""
     return BoundReport(
         max_gain_per_swap=max_gain_per_swap(inst.hardware),
         max_gain_per_step=max_gain_per_step(inst.hardware),
         swap_lower=swap_lower_bound(inst),
         step_lower=step_lower_bound(inst),
-        swap_upper=None if min_steps is None else swap_upper_bound(inst, min_steps),
     )

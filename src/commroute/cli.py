@@ -157,13 +157,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
-    sol, trace = dfs_swap_solve(_resolve_hardware(args))
-    _emit({
-        "solution": sol.to_dict(),
-        "steps": sol.steps,
-        "swaps": sol.swaps,
-        "iterations": len(trace.iterations),
-    }, args.out)
+    sol = dfs_swap_solve(_resolve_hardware(args))
+    _emit({"solution": sol.to_dict(), "steps": sol.steps, "swaps": sol.swaps}, args.out)
     return EXIT_OK
 
 
@@ -171,7 +166,7 @@ def cmd_polytope(args) -> int:
     g = hardware_to_bipartite(_resolve_hardware(args))
     constraints = exact_description(g, args.relation)
     payload = dict(verify_integer_hull(
-        g, args.relation, num_objectives=args.objectives, seed=args.seed
+        g, args.relation, constraints=constraints, num_objectives=args.objectives, seed=args.seed
     ))
     payload["constraints"] = [c.tag for c in constraints]
     _emit(payload, args.out)
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bounds", help="lower/upper bound report for an instance")
+    p = sub.add_parser("bounds", help="lower bounds and gains for an instance")
     p.add_argument("instance")
     p.set_defaults(func=cmd_bounds)
 

@@ -7,28 +7,13 @@ retires onto a leaf that is pruned from the working tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graphs import Graph, complete_graph, spider_graph
 from .solutions import SwapSolution, TmpInstance, TokenPlacement, validate_swap_solution
 
 Edge = tuple[int, int]
 
 
-@dataclass
-class DfsIteration:
-    anchor: int                 # node whose token settles this round
-    start_leaf: int             # leaf the DFS ordering starts from
-    order: tuple[int, ...]      # DFS visit order over the working tree
-    moves: tuple[Edge, ...]     # swaps performed, one per step, in order
-
-
-@dataclass
-class DfsTrace:
-    iterations: list[DfsIteration] = field(default_factory=list)
-
-
-def dfs_swap_solve(hardware: Graph) -> tuple[SwapSolution, DfsTrace]:
+def dfs_swap_solve(hardware: Graph) -> SwapSolution:
     """One-swap-per-step solution for a tree with every token pair interacting.
 
     Each round picks the token next to a leaf, walks it through every inner
@@ -40,11 +25,8 @@ def dfs_swap_solve(hardware: Graph) -> tuple[SwapSolution, DfsTrace]:
     n = hardware.n
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    tok_at = list(range(n))
     alive = [True] * n
-    alive_count = n
     matchings: list[tuple[Edge, ...]] = []
-    trace = DfsTrace()
 
     def alive_neighbors(x: int) -> list[int]:
         return [y for y in hardware.adjacency[x] if alive[y]]
@@ -66,11 +48,9 @@ def dfs_swap_solve(hardware: Graph) -> tuple[SwapSolution, DfsTrace]:
             path.append(parent[path[-1]])
         return path[::-1]
 
-    def walk(cur: int, target: int, moves: list[Edge]) -> int:
+    def walk(cur: int, target: int) -> int:
         for nxt in tree_path(cur, target)[1:]:
             matchings.append(((min(cur, nxt), max(cur, nxt)),))
-            tok_at[cur], tok_at[nxt] = tok_at[nxt], tok_at[cur]
-            moves.append((min(cur, nxt), max(cur, nxt)))
             cur = nxt
         return cur
 
@@ -91,18 +71,15 @@ def dfs_swap_solve(hardware: Graph) -> tuple[SwapSolution, DfsTrace]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        moves: list[Edge] = []
         cur = anchor
         for node in order[2:]:
             if len(alive_neighbors(node)) > 1:
-                cur = walk(cur, node, moves)
+                cur = walk(cur, node)
         final = order[-1]
-        cur = walk(cur, final, moves)
+        walk(cur, final)
         alive[final] = False
-        alive_count -= 1
-        trace.iterations.append(DfsIteration(anchor, start_leaf, tuple(order), tuple(moves)))
 
-    return SwapSolution(TokenPlacement.identity(n), tuple(matchings)), trace
+    return SwapSolution(TokenPlacement.identity(n), tuple(matchings))
 
 
 def path_sequence(k: int) -> list[tuple[Edge, ...]]:
@@ -123,7 +100,7 @@ def path_sequence(k: int) -> list[tuple[Edge, ...]]:
     return steps
 
 
-def qsst_solve(m: int) -> tuple[SwapSolution, dict]:
+def qsst_solve(m: int) -> SwapSolution:
     """All-to-all solution on the m-arm spider tree (m*m + 1 nodes).
 
     Runs path shuffles on all arms in parallel, then swaps the root token
@@ -135,19 +112,11 @@ def qsst_solve(m: int) -> tuple[SwapSolution, dict]:
         raise ValueError("need m >= 1")
     g = spider_graph(m)
     n = g.n
-    tok_at = list(range(n))
     arms: list[list[int]] = [[j * m + 1 + k for k in range(m)] for j in range(m)]
     pending_sink = [False] * m
     matchings: list[tuple[Edge, ...]] = []
-    iterations = 0
-
-    def apply(step: tuple[Edge, ...]):
-        matchings.append(step)
-        for u, v in step:
-            tok_at[u], tok_at[v] = tok_at[v], tok_at[u]
 
     while any(arms):
-        iterations += 1
         seqs = {j: path_sequence(len(arm)) for j, arm in enumerate(arms) if len(arm) >= 2}
         for s in range(max((len(q) for q in seqs.values()), default=0)):
             step = []
@@ -155,7 +124,7 @@ def qsst_solve(m: int) -> tuple[SwapSolution, dict]:
                 if s < len(seq):
                     arm = arms[j]
                     step.extend((arm[a], arm[b]) for a, b in seq[s])
-            apply(tuple(sorted(step)))
+            matchings.append(tuple(sorted(step)))
         for j in range(m):
             if pending_sink[j] and arms[j]:
                 arms[j].pop()  # retired token reached the bottom node
@@ -164,21 +133,14 @@ def qsst_solve(m: int) -> tuple[SwapSolution, dict]:
         if target is None:
             break
         top = arms[target][0]
-        apply(((0, top),))
+        matchings.append(((0, top),))
         if len(arms[target]) == 1:
             arms[target].clear()  # single-node arm: the token retires right here
         else:
             pending_sink[target] = True
 
     solution = SwapSolution(TokenPlacement.identity(n), tuple(matchings))
-    stats = {
-        "m": m,
-        "nodes": n,
-        "iterations": iterations,
-        "steps": solution.steps,
-        "swaps": solution.swaps,
-    }
     check = validate_swap_solution(TmpInstance(g, complete_graph(n)), solution)
     if not check.valid:
         raise AssertionError(f"qsst construction produced an invalid solution: {check.problems}")
-    return solution, stats
+    return solution

@@ -117,9 +117,6 @@ class Graph:
     def degree_sequence(self) -> list[int]:
         return sorted((len(a) for a in self.adjacency), reverse=True)
 
-    def leaves(self) -> list[int]:
-        return [i for i in range(self.n) if self.degree(i) == 1]
-
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 

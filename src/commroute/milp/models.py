@@ -254,18 +254,18 @@ def add_complete_placement_fixing(
     *,
     steps: int,
 ) -> MilpModel:
-    """Fix the full middle placement to the identity; sound only for
-    all-pairs gate sets.
+    """Fix the full middle placement to the identity when there is a gate
+    between every pair of the hardware's tokens; otherwise return the model
+    unchanged.
 
-    When every token pair is a gate, any full placement can be designated
-    as the middle one without losing optimal solutions, and tokens can
-    then be excluded from nodes farther away than the remaining steps.
+    When every token pair is a gate, relabeling tokens maps solutions to
+    solutions of the same cost, so any full placement can be designated as
+    the middle one without losing optimal solutions, and tokens can then be
+    excluded from nodes farther away than the remaining steps.
     """
     T = _placements(steps)
-    if not inst.algorithm_is_complete() or inst.algorithm.n != inst.hardware.n:
-        raise ValueError(
-            "full-placement fixing needs a gate between every pair of tokens"
-        )
+    if not inst.algorithm_is_complete():
+        return model
     n = inst.hardware.n
     k = max(1, T // 2)
     dist = inst.hardware.distances
@@ -368,10 +368,14 @@ class SolveAttempt:
     solution: SwapSolution | None
 
 
-def _integral_objective(value: float, tol: float = 1e-6) -> int:
+# an optimal objective farther than this from an integer is a solver fault
+_OBJECTIVE_TOL = 1e-6
+
+
+def _integral_objective(value: float) -> int:
     r = round(value)
-    if abs(value - r) > tol:
-        raise DecodeError(f"objective {value} is not integral within {tol}")
+    if abs(value - r) > _OBJECTIVE_TOL:
+        raise DecodeError(f"objective {value} is not integral within {_OBJECTIVE_TOL}")
     return int(r)
 
 
@@ -380,16 +384,16 @@ def solve_min_swaps_at(
     steps: int,
     variant: ModelVariant = ModelVariant.INDICATOR_ONESIDED,
     time_limit: float | None = None,
-    use_fixing: bool = False,
 ) -> SolveAttempt:
     """Minimum swap count over exactly `steps` swap steps, with solution.
 
-    status "infeasible" means no solution covers all gates within the
-    horizon; swaps/solution are then None.
+    When there is a gate between every pair of the hardware's tokens, the
+    middle placement is fixed (`add_complete_placement_fixing`), which
+    keeps the optimum. status "infeasible" means no solution covers all
+    gates within the horizon; swaps/solution are then None.
     """
     model = build_variant(inst, variant, steps=steps)
-    if use_fixing:
-        add_complete_placement_fixing(model, inst, steps=steps)
+    add_complete_placement_fixing(model, inst, steps=steps)
     result = ScipyBackend().solve(model, time_limit=time_limit)
     if not result.is_optimal:
         return SolveAttempt(result.status, None, None)

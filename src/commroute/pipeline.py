@@ -64,10 +64,13 @@ class PipelineResult:
     ms_at_mt: int | None = None
     ms: int | None = None
     swap_solution: SwapSolution | None = None
-    routed_circuit: RoutedCircuit | None = None
     schedule: ScheduleOutcome | None = None
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def routed_circuit(self) -> RoutedCircuit | None:
+        return None if self.schedule is None else self.schedule.circuit
 
     # each number is set only once it is proven optimal
     @property
@@ -115,10 +118,9 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     Phase 3 solves the one-swap-per-step model one step below ms_at_mt
     with its first max(`cheaper_swap_floor`, the search's lower bound)
     steps pinned active; infeasible, it keeps the ms_at_mt solution.
-    Placement fixing is derived from the instance: when there is a gate
-    between every pair of the hardware's tokens, each solve fixes the
-    middle placement (`add_complete_placement_fixing`), which keeps the
-    optimum.
+    When there is a gate between every pair of the hardware's tokens, each
+    HiGHS solve fixes the middle placement (`add_complete_placement_fixing`),
+    which keeps the optimum.
 
     Every returned solution, from a search or a HiGHS solve, is a witness
     checked against its certified numbers: one that `validate_swap_solution`
@@ -163,7 +165,6 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
             "hardware graph must be connected unless the search settles the "
             f"instance within its budget of {SEARCH_BUDGET}"
         )
-    fixing = inst.algorithm_is_complete()
 
     if at_mt is not None and at_mt.exact:
         res.mt, res.ms_at_mt = steps.value, at_mt.value
@@ -172,7 +173,7 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
         res.notes.append(
             f"certified by search: ms_at_mt = {res.ms_at_mt} (work {at_mt.work})"
         )
-    elif not _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing):
+    elif not _steps_and_swaps_at_mt(inst, time_limit, res, steps):
         return res
 
     floor = cheaper_swap_floor(inst, res.mt)
@@ -209,10 +210,11 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     model = build_swap_step_model(inst, steps=target)
     for t in range(1, pinned + 1):
         model.fix_var(f"s_t{t}", 1.0)
-    if fixing:
-        from .milp.models import add_complete_placement_fixing
+    # imported here, not at the top: perfbench/tracing.py wraps the
+    # milp.models attribute, and a name bound at import would bypass it
+    from .milp.models import add_complete_placement_fixing
 
-        add_complete_placement_fixing(model, inst, steps=target)
+    add_complete_placement_fixing(model, inst, steps=target)
     step_result = ScipyBackend().solve(model, time_limit=time_limit)
     if step_result.is_optimal:
         step_solution = decode_solution(inst, step_result, steps=target)
@@ -246,7 +248,7 @@ def _certified(inst: TmpInstance, solution: SwapSolution | None, swaps: int,
     return solution
 
 
-def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
+def _steps_and_swaps_at_mt(inst, time_limit, res, steps) -> bool:
     """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
     res, or add a timeout note and return False.
 
@@ -265,7 +267,7 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps, fixing) -> bool:
     t = start
     while t <= t_cap:
         t0 = time.monotonic()
-        a = solve_min_swaps_at(inst, t, time_limit=time_limit, use_fixing=fixing)
+        a = solve_min_swaps_at(inst, t, time_limit=time_limit)
         probe = time.monotonic() - t0
         if a.status == "timeout":
             res.timings["find_min_steps"] = phase1 + probe
@@ -317,7 +319,6 @@ def route(inst: TmpInstance, time_limit: float | None = None) -> PipelineResult:
     finally:
         res.timings["schedule"] = time.monotonic() - t0
     res.schedule = outcome
-    res.routed_circuit = outcome.circuit
     if outcome.method == "search":
         res.notes.append(
             f"schedule certified by search: extra = {outcome.extra_layers}, "

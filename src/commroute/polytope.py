@@ -33,6 +33,8 @@ _VERTEX_TOL = 1e-7
 # coordinate integral within _INTEGRALITY_TOL of an integer
 _ENUMERATE_DIM_LIMIT = 12
 _INTEGRALITY_TOL = 1e-6
+# LinearInequality.holds accepts a point that misses a row by at most this
+_HOLDS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,11 +139,11 @@ class LinearInequality:
     rhs: float
     tag: str
 
-    def holds(self, x, y, z: float, tol: float = 1e-9) -> bool:
+    def holds(self, x, y, z: float) -> bool:
         lhs = float(np.dot(self.x_coeffs, x) + np.dot(self.y_coeffs, y) + self.z_coeff * z)
         if self.sense == "==":
-            return abs(lhs - self.rhs) <= tol
-        return lhs <= self.rhs + tol
+            return abs(lhs - self.rhs) <= _HOLDS_TOL
+        return lhs <= self.rhs + _HOLDS_TOL
 
 
 def _indicator(members: frozenset[int], size: int) -> tuple[float, ...]:

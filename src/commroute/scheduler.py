@@ -421,12 +421,14 @@ def schedule_circuit(
         return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct")
     bound = load_bound(ctx)
     assignment, work = search_assignment(ctx, bound, SEARCH_BUDGET)
-    if assignment is not None:
-        extra = len({slot for slot in assignment.values() if slot[1] >= 1})
-        return ScheduleOutcome(assemble_circuit(ctx, assignment), extra, "search", bound, work)
-    model = build_schedule_model(ctx)
-    result = ScipyBackend().solve(model, time_limit=time_limit)
-    if not result.is_optimal:
-        raise ScheduleSolveError(f"schedule solve ended with status {result.status}")
-    circuit = assemble_circuit(ctx, extract_assignment(ctx, result.values))
-    return ScheduleOutcome(circuit, int(round(result.objective)), "milp", bound, work)
+    method = "search"
+    if assignment is None:
+        result = ScipyBackend().solve(build_schedule_model(ctx), time_limit=time_limit)
+        if not result.is_optimal:
+            raise ScheduleSolveError(f"schedule solve ended with status {result.status}")
+        assignment = extract_assignment(ctx, result.values)
+        method = "milp"
+    # at an optimum every opened layer holds a gate, so the distinct extra
+    # slots in use are the extra layers on both paths
+    extra = len({slot for slot in assignment.values() if slot[1] >= 1})
+    return ScheduleOutcome(assemble_circuit(ctx, assignment), extra, method, bound, work)

@@ -40,15 +40,6 @@ class TmpInstance:
         return self.hardware.n
 
     @property
-    def num_tokens(self) -> int:
-        # dummies pad the token set so placements stay bijections
-        return self.hardware.n
-
-    @property
-    def num_real_tokens(self) -> int:
-        return self.algorithm.n
-
-    @property
     def connections(self) -> tuple[Edge, ...]:
         return self.algorithm.edges
 

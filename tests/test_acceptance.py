@@ -145,7 +145,7 @@ def test_criterion_05_tree_heuristic():
     for n in range(3, 13):
         for _ in range(100):
             h = random_tree(n, rng)
-            sol, _ = dfs_swap_solve(h)
+            sol = dfs_swap_solve(h)
             v = validate_swap_solution(TmpInstance(h, complete_graph(n)), sol)
             assert v.valid, (n, h.edges, v.problems)
             assert all(len(m) == 1 for m in sol.matchings)

@@ -76,6 +76,19 @@ def test_pipeline_search_reaches_the_tracer(monkeypatch):
     assert metrics["pipeline.solves"] == 0
 
 
+@pytest.mark.parametrize("name", ["path6-star6", "grid3x3-d0.3-s5"])
+def test_benchmark_route_check_accepts_the_result(monkeypatch, name):
+    # workloads.route_op checks the answers and reads the PipelineResult
+    # fields the benchmark needs; a reshaped result that breaks it would
+    # only show in the benchmark's self-check, outside tier-1
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inst = workloads.worked_example() if name == "path6-star6" else workloads.grid_baseline()
+    op = workloads.route_op(name, inst, workloads.References().answer(name, inst))
+    assert op.check(op.run()) is None
+
+
 @pytest.mark.parametrize("builder", ["build_variant", "build_swap_step_model"])
 def test_reference_lp_reads_the_model_container(monkeypatch, builder):
     # references.lp_objective reads the container's objective, rows, bounds

@@ -89,16 +89,10 @@ def test_swap_upper_bound():
 
 def test_bound_report_fields():
     inst = TmpInstance(path_graph(4), complete_graph(4))
-    rep = bound_report(inst, min_steps=2)
+    rep = bound_report(inst)
     assert rep.swap_lower == 2
     assert rep.step_lower == 2
-    assert rep.swap_upper == 4
     assert rep.to_dict()["max_gain_per_swap"] == 2
-
-
-def test_report_without_steps_leaves_upper_unset():
-    rep = bound_report(TmpInstance(path_graph(3), complete_graph(3)))
-    assert rep.swap_upper is None
 
 
 def test_lower_bounds_never_exceed_oracle():

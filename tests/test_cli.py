@@ -52,7 +52,7 @@ def test_generate_out_file(capsys, tmp_path):
 def test_bounds(capsys, tiny_instance):
     code, payload, _ = run(capsys, "bounds", tiny_instance)
     assert code == 0
-    assert set(payload) >= {"swap_lower", "step_lower", "max_gain_per_swap"}
+    assert set(payload) == {"swap_lower", "step_lower", "max_gain_per_swap", "max_gain_per_step"}
 
 
 @pytest.fixture
@@ -152,6 +152,7 @@ def test_heuristic(capsys, tmp_path):
     code, payload, _ = run(capsys, "heuristic", "--hardware", "custom",
                            "--hardware-file", str(hw))
     assert code == 0
+    assert set(payload) == {"solution", "steps", "swaps"}
     assert payload["swaps"] <= 4
 
 

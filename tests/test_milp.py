@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import commroute.milp.models as models
 from commroute.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from commroute.milp import (
     ModelVariant,
@@ -18,7 +19,7 @@ from commroute.milp import (
     solve_min_swaps_at,
 )
 from commroute.oracle import oracle_min_steps, oracle_min_swaps_at
-from commroute.solutions import TmpInstance, validate_swap_solution
+from commroute.solutions import TmpInstance, TokenPlacement, validate_swap_solution
 
 from conftest import random_connected_graph
 
@@ -137,19 +138,31 @@ def test_symmetry_preserves_optimum():
     assert validate_swap_solution(inst, decode_solution(inst, anchored, steps=2)).valid
 
 
-def test_complete_fixing_preserves_optimum():
+def test_complete_fixing_preserves_optimum(monkeypatch):
+    # an all-pairs gate set: solve_min_swaps_at fixes the middle placement
+    # (placement 1 of 3) unasked and keeps the unfixed model's optimum
     inst = p4k4()
-    plain = solve_min_swaps_at(inst, steps=2)
-    fixed = solve_min_swaps_at(inst, steps=2, use_fixing=True)
-    assert fixed.swaps == plain.swaps
+    fixed_at = []
+
+    def spy(model, inst, *, steps):
+        fixed_at.append(steps)
+        return add_complete_placement_fixing(model, inst, steps=steps)
+
+    monkeypatch.setattr(models, "add_complete_placement_fixing", spy)
+    fixed = solve_min_swaps_at(inst, steps=2)
+    plain = BACKEND.solve(build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=2))
+    assert fixed_at == [2]
+    assert plain.is_optimal and fixed.swaps == round(plain.objective)
+    assert fixed.solution.initial == TokenPlacement.identity(4)
     assert validate_swap_solution(inst, fixed.solution).valid
 
 
-def test_fixing_requires_complete_algorithm():
+def test_fixing_leaves_an_incomplete_gate_set_unchanged():
     inst = example()
     model = build_variant(inst, ModelVariant.INDICATOR_ONESIDED, steps=2)
-    with pytest.raises(ValueError):
-        add_complete_placement_fixing(model, inst, steps=2)
+    before = model.lp_string()
+    assert add_complete_placement_fixing(model, inst, steps=2) is model
+    assert model.lp_string() == before
 
 
 def test_lp_export_deterministic(tmp_path):

@@ -77,6 +77,18 @@ def test_example_end_to_end(example_at_three_steps):
     assert swap_multiset == sorted(e for m in att.solution.matchings for e in m)
 
 
+@pytest.mark.parametrize("budget", [None, 0], ids=["search", "highs"])
+def test_extra_layers_counted_alike_on_both_paths(monkeypatch, example_at_three_steps, budget):
+    # the search and the HiGHS fallback both report the extra layers the
+    # circuit holds beyond its swap layers
+    inst, att = example_at_three_steps
+    if budget is not None:
+        monkeypatch.setattr(scheduler, "SEARCH_BUDGET", budget)
+    out = schedule_circuit(inst, att.solution)
+    assert out.method == ("search" if budget is None else "milp")
+    assert out.extra_layers == out.circuit.depth - len(att.solution.compacted().matchings)
+
+
 def _small_cases(rng):
     """12 random 4-node instances, each with a fewest-swap solution of at
     most 2 steps."""

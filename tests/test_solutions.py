@@ -22,8 +22,6 @@ from commroute.solutions import (
 def test_instance_pads_tokens_with_dummies():
     inst = TmpInstance(path_graph(4), Graph(2, [(0, 1)]))
     assert inst.num_nodes == 4
-    assert inst.num_tokens == 4
-    assert inst.num_real_tokens == 2
     assert inst.connections == ((0, 1),)
 
 
