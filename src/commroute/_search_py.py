@@ -51,26 +51,28 @@ order, the nodes below u share one distance and the nodes above v
 another, so an edge needs at most v - u + 1 delta swaps. A matching
 applies those of its edges one edge after another.
 
-A U with fewer pairs than there are gates cannot hold the gate graph and
-is rejected without the embedding check; the check itself is memoised per
-mask. Breadth-first keeps the set of masks it has seen. A* keeps per mask
-the Pareto list of (steps, swaps) it has admitted and drops a state when
-an entry of the same mask has no more steps and no more swaps: that entry
-can follow whatever continuation the dropped state has, at no more cost.
-A heap entry whose (steps, swaps) has since left its mask's list is
-skipped when popped, before the goal test: the entry that displaced it has
-the same h, since h depends on the mask alone, and no larger (f, g, s), so
-it popped first: it made the same goal test, and its expansion reaches
-every mask the stale one would, at no more cost.
+The goal test is the caller's: reached(mask, limit) returns (answer,
+work), answer telling whether the gate graph embeds into M, or None when
+deciding that would take `limit` or more units of work. The kernel adds
+nothing to it, so one test, with whatever it remembers, serves every
+search on an instance. Breadth-first keeps the set of masks it has seen.
+A* keeps per mask the Pareto list of (steps, swaps) it has admitted and
+drops a state when an entry of the same mask has no more steps and no
+more swaps: that entry can follow whatever continuation the dropped state
+has, at no more cost. A heap entry whose (steps, swaps) has since left its
+mask's list is skipped when popped, before the goal test: the entry that
+displaced it has the same h, since h depends on the mask alone, and no
+larger (f, g, s), so it popped first: it made the same goal test, and its
+expansion reaches every mask the stale one would, at no more cost.
 
-Witness. Each frontier or heap entry carries a link (parent link,
-matching index), and a goal state returns the matching indices along its
-links as Outcome.path. Replaying them from the identity placement
-rebuilds the goal's U, which is its M relabelled by L_t, so it holds the
-gate graph as M does; by the soundness argument any embedding of the
-gate graph into ([n], U), dummies on the leftover labels, is a start
-placement from which the sequence realizes every gate. The seen set and
-the Pareto lists keep no links.
+Witness. Each A* heap entry carries a link (parent link, matching index),
+and a goal state returns the matching indices along its links as
+Outcome.path. Replaying them from the identity placement rebuilds the
+goal's U, which is its M relabelled by L_t, so it holds the gate graph as
+M does; by the soundness argument any embedding of the gate graph into
+([n], U), dummies on the leftover labels, is a start placement from which
+the sequence realizes every gate. The Pareto lists keep no links, and
+breadth-first, which answers mt alone, keeps none at all.
 
 One swap on hardware edge {i, j} makes at most swap_capacity label pairs
 adjacent that were not adjacent before (bounds.max_gain_per_swap), and so
@@ -82,7 +84,7 @@ pruned. The state space is finite and dominance only drops states, so an
 infeasible input ends with an exhausted frontier.
 
 Budget. Both searches take an optional budget, a cap on their work: the
-successors they generate plus the work the embedding tests report. Work
+successors they generate plus the work the goal tests report. Work
 is never time, so a budgeted run stops at the same point on every run.
 A search that runs out returns a proven lower bound instead of the
 optimum. Breadth-first, every layer before the one being generated has
@@ -103,12 +105,13 @@ from typing import NamedTuple
 
 class Outcome(NamedTuple):
     """A search's answer: the optimum, or -1 when none exists; when the
-    budget ran out first (exact False), a proven lower bound instead. path
-    holds the matching indices from the start to the goal state reached."""
+    budget ran out first (exact False), a proven lower bound instead. For
+    A*, path holds the matching indices from the start to the goal state
+    reached; breadth-first leaves it empty."""
 
     value: int
     exact: bool
-    work: int  # successors generated plus embedding-test work
+    work: int  # successors generated plus goal-test work
     path: tuple[int, ...] = ()
 
 
@@ -119,29 +122,6 @@ def _path(link) -> tuple[int, ...]:
         link, mi = link
         out.append(mi)
     return tuple(reversed(out))
-
-
-def _goal_test(num_gates: int, embeds):
-    """The memoised test "the gate graph embeds into U" for a pair mask U.
-
-    reached(mask, limit) returns (answer, work): answer is None when the
-    embedding test gave up after `limit` units of work, and work is what
-    the call spent (0 on a memo hit or a mask too small to hold the gates).
-    """
-    memo: dict[int, bool] = {}
-
-    def reached(mask: int, limit: float) -> tuple[bool | None, int]:
-        if mask.bit_count() < num_gates:
-            return False, 0
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit, 0
-        hit, work = embeds(mask, limit)
-        if hit is not None:
-            memo[mask] = hit
-        return hit, work
-
-    return reached
 
 
 class StepTables(NamedTuple):
@@ -173,17 +153,16 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
     return StepTables(base, deltas, tuple(len(m) for m in matchings))
 
 
-def min_steps(tables, starts, num_gates, embeds, budget=inf):
+def min_steps(tables, starts, reached, budget=inf):
     """Fewest swap steps from the start masks until the gate graph embeds
     into M; -1 when the search space is exhausted without reaching the goal.
     No depth limit is needed: each mask is admitted once, and there are
     finitely many.
     """
     work = 0
-    reached = _goal_test(num_gates, embeds)
     base, steps, _ = tables
     seen: set[int] = set()
-    frontier: list[tuple[int, tuple | None]] = []
+    frontier: list[int] = []
     for mask in starts:
         hit, spent = reached(mask, budget - work)
         work += spent
@@ -193,16 +172,16 @@ def min_steps(tables, starts, num_gates, embeds, budget=inf):
             return Outcome(0, True, work)
         if mask not in seen:
             seen.add(mask)
-            frontier.append((mask, None))
+            frontier.append(mask)
     depth = 0
     while frontier:
         depth += 1
-        nxt: list[tuple[int, tuple | None]] = []
-        for mask, link in frontier:
+        nxt: list[int] = []
+        for mask in frontier:
             if work + len(steps) > budget:
                 return Outcome(depth, False, work)
             work += len(steps)
-            for mi, swaps in enumerate(steps):
+            for swaps in steps:
                 m2 = mask
                 for d, low in swaps:
                     t = ((m2 >> d) ^ m2) & low
@@ -217,13 +196,13 @@ def min_steps(tables, starts, num_gates, embeds, budget=inf):
                 if hit is None:
                     return Outcome(depth, False, work)
                 if hit:
-                    return Outcome(depth, True, work, _path((link, mi)))
-                nxt.append((m2, (link, mi)))
+                    return Outcome(depth, True, work)
+                nxt.append(m2)
         frontier = nxt
     return Outcome(-1, True, work)
 
 
-def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity,
+def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacity,
                      step_capacity, budget=inf):
     """Fewest swaps over sequences of at most max_steps steps whose M holds
     the gate graph; -1 if none.
@@ -235,7 +214,6 @@ def min_swaps_within(tables, starts, num_gates, embeds, max_steps, swap_capacity
     swap, and swap_capacity bounds it as well.
     """
     work = 0
-    reached = _goal_test(num_gates, embeds)
     base, steps, sizes = tables
     pareto: dict[int, list[tuple[int, int]]] = {}
 

@@ -255,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                                         "integrality check")
     _hardware_flags(p)
     p.add_argument("--relation", default="eq", choices=["eq", "leq"])
-    p.add_argument("--objectives", type=int, default=200)
+    p.add_argument("--objectives", type=int, default=200,
+                   help="random LP objectives to probe, used only where exact "
+                        "vertex enumeration cannot run (dimension above 12 or "
+                        "too many bases); must be at least 1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_polytope)
 

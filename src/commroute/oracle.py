@@ -3,9 +3,9 @@
 Ground truth the optimization models are tested against. Exact but
 exponential: instances above the node limit are refused outright.
 
-`RelativeFrameSearch` prepares the instance tables and the embedding test
+`RelativeFrameSearch` prepares the instance tables and the goal test
 and runs the searches, optionally under a work budget, which is how the
-pipeline uses it; it also turns a search's goal state into a witness
+pipeline uses it; it also turns an A* goal state into a witness
 `SwapSolution`. The search itself runs once, in the kernel module
 _search_py, over graphs on the hardware nodes: a state is the set of node
 pairs whose tokens have met, which starts as the hardware edges. The
@@ -112,9 +112,16 @@ class RelativeFrameSearch:
     adds the hardware edges again. `min_steps` and `min_swaps_within`
     branch on every hardware matching; `cheaper_swaps` branches on the
     one-edge matchings only, one swap per step, which the serialization
-    lemma (`cheaper_swap_floor`) shows loses no swap optimum. A goal
+    lemma (`cheaper_swap_floor`) shows loses no swap optimum. An A* goal
     state's path of matching indices replays into the label frame for
     `witness`.
+
+    The search owns the goal test, "the gate graph embeds into the mask",
+    and the three searches share it. A mask with fewer pairs than gates
+    fails it at once; any other is decided by `embed_masks` and
+    remembered, so no mask is embedded twice on one instance and a
+    remembered answer costs no work. A decided answer does not depend on
+    the budget, so the memo holds for all three searches.
 
     The hardware's HardwareTables (its matchings, their delta-swap tables,
     the one-edge matchings' share of them and the gain bounds) are built
@@ -155,34 +162,42 @@ class RelativeFrameSearch:
         # a found table costs what building it would have
         self._charge(count if budget is None else min(count, budget + 1))
         if self.left < 0:
-            self._args = None
+            self._reached = None
             return
         self._tables = tables
+        self._starts = [tables.steps.base]
+        self._gates = gates = len(inst.connections)
         n = inst.num_nodes
         ends = tables.ends
         order = embedding_order(inst.algorithm)
+        memo: dict[int, bool] = {}
 
-        def embeds(mask: int, limit: float) -> tuple[bool | None, int]:
+        def reached(mask: int, limit: float) -> tuple[bool | None, int]:
             # one unit per pair of the mask plus one per backtracking step;
             # embed_masks may take one step past its limit
             size = mask.bit_count()
+            if size < gates:
+                return False, 0
+            hit = memo.get(mask)
+            if hit is not None:
+                return hit, 0
             if size >= limit:
                 return None, 0
             adj = [0] * n
-            while mask:
-                low = mask & -mask
+            rest = mask
+            while rest:
+                low = rest & -rest
                 a, b_bit, b, a_bit = ends[low.bit_length() - 1]
                 adj[a] |= b_bit
                 adj[b] |= a_bit
-                mask ^= low
+                rest ^= low
             image, steps = embed_masks(order, adj, limit - size - 1)
             if image is None and steps > limit - size - 1:
                 return None, size + steps
-            return image is not None, size + steps
+            hit = memo[mask] = image is not None
+            return hit, size + steps
 
-        # in kernel order: step tables, the start mask E(H), gate count and
-        # the embedding test
-        self._args = (tables.steps, [tables.steps.base], len(inst.connections), embeds)
+        self._reached = reached
 
     def _charge(self, work: int) -> None:
         self.work += work
@@ -190,19 +205,20 @@ class RelativeFrameSearch:
 
     def min_steps(self) -> Outcome:
         """Fewest swap steps (breadth-first); -1 if no solution exists."""
-        if self._args is None:
+        if self._reached is None:
             return Outcome(0, False, 0)
-        out = _search_py.min_steps(*self._args, budget=self.left)
+        out = _search_py.min_steps(self._tables.steps, self._starts, self._reached,
+                                   budget=self.left)
         self._charge(out.work)
         return out
 
     def min_swaps_within(self, steps: int) -> Outcome:
         """Fewest swaps within `steps` steps (A*); -1 if none."""
-        if self._args is None:
+        if self._reached is None:
             return Outcome(0, False, 0)
         out = _search_py.min_swaps_within(
-            *self._args, steps, self._tables.swap_gain, self._tables.step_gain,
-            budget=self.left,
+            self._tables.steps, self._starts, self._gates, self._reached, steps,
+            self._tables.swap_gain, self._tables.step_gain, budget=self.left,
         )
         self._charge(out.work)
         return out
@@ -218,15 +234,14 @@ class RelativeFrameSearch:
         solution with as many swaps, so one A* over at most ms_at_mt - 1
         one-edge matchings sees them all; `max_gain_per_swap` bounds both
         its swaps and its steps. The Outcome's path indexes the matchings,
-        as every search's does.
+        as `min_swaps_within`'s does.
         """
-        if self._args is None:
+        if self._reached is None:
             return Outcome(0, False, 0)
-        cap = ms_at_mt - 1
         gain = self._tables.swap_gain
         out = _search_py.min_swaps_within(
-            self._tables.single_steps, *self._args[1:], cap, gain, gain,
-            budget=self.left,
+            self._tables.single_steps, self._starts, self._gates, self._reached,
+            ms_at_mt - 1, gain, gain, budget=self.left,
         )
         self._charge(out.work)
         return out._replace(path=tuple(self._tables.singles[mi] for mi in out.path))
@@ -244,10 +259,11 @@ class RelativeFrameSearch:
         return steps, at_mt, cheaper
 
     def witness(self, out: Outcome) -> SwapSolution | None:
-        """The solution behind an exact Outcome with a nonnegative value: its
-        path replayed from the identity placement rebuilds U, and the gate
-        graph's embedding into U is the start placement. None when U does
-        not hold the gate graph, which a correct path never gives."""
+        """The solution behind an exact A* Outcome (`min_swaps_within` or
+        `cheaper_swaps`) with a nonnegative value: its path replayed from
+        the identity placement rebuilds U, and the gate graph's embedding
+        into U is the start placement. None when U does not hold the gate
+        graph, which a correct path never gives."""
         n = self.inst.num_nodes
         tok = list(range(n))
         seen = set(self.inst.hardware.edges)
@@ -270,8 +286,6 @@ def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
     embedding test: a gate set already on hardware edges answers 0 there.
     """
     _check_size(inst, node_limit)
-    if not inst.connections:
-        return 0
     result = RelativeFrameSearch(inst).min_steps().value
     if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")
@@ -285,8 +299,6 @@ def oracle_min_swaps_at(
     _check_size(inst, node_limit)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if not inst.connections:
-        return 0
     result = RelativeFrameSearch(inst).min_swaps_within(steps).value
     return None if result < 0 else result
 
@@ -301,8 +313,6 @@ def oracle_min_swaps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) ->
     on the hardware edges, answers 0 for a gate set already on them.
     """
     _check_size(inst, node_limit)
-    if not inst.connections:
-        return 0
     result = RelativeFrameSearch(inst).cheaper_swaps(inf).value
     if result < 0:
         raise InfeasibleInstanceError("no swap sequence realizes every connection")

@@ -10,9 +10,9 @@ minimal swap count ms.
    fixed work budget. Breadth-first it finds mt; A* at mt finds ms_at_mt;
    and unless `cheaper_swap_floor` already certifies ms = ms_at_mt, one
    more A*, over at most ms_at_mt - 1 steps of one swap each, decides
-   whether a cheaper solution exists. The goal state each search reaches
-   is its witness: the solution is rebuilt from the search's path, so a
-   settled instance builds no model.
+   whether a cheaper solution exists. The goal state each A* reaches is
+   its witness: the solution is rebuilt from the A* path, so a settled
+   instance builds no model.
 2. Whatever the budget leaves open, HiGHS proves as before: it solves the
    gate-coverage program for increasing t, from the first layer the
    search did not finish, until it turns feasible, which gives mt and ms_at_mt;
@@ -47,9 +47,9 @@ from .solutions import (
 # (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
-# K16 (2 cores, Python 3.11). The route bench instances need at most 1,835
+# K16 (2 cores, Python 3.11). The route bench instances need at most 1,715
 # units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
-# search in 76,400 units, its `ms` proof branching on single swaps.
+# search in 76,372 units, its `ms` proof branching on single swaps.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {
@@ -132,13 +132,16 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     InfeasibleInstanceError, and one that runs out of budget leaves the
     instance refused with ValueError.
 
-    On a solver timeout the result carries whatever was established; the
-    missing numbers stay None and their optimality flags False. `timings` holds
-    the wall time of the search and of each HiGHS phase's model builds,
-    solves and decodes: `find_min_steps` covers the infeasible probes,
-    `min_swaps_at_min_steps` the first feasible one and `min_swaps_overall`
-    the phase-3 solve. `notes` names the certificate of each number: a
-    bound, the search with the work it spent, or a HiGHS solve.
+    When a HiGHS solve ends with neither an optimum nor a proof of
+    infeasibility (a timeout, say), the result carries whatever was
+    established; the missing numbers stay None and their optimality flags
+    False. `timings` holds the wall time of the search and of each HiGHS
+    phase's model builds, solves and decodes: `find_min_steps` covers the
+    infeasible probes, `min_swaps_at_min_steps` the first feasible one and
+    `min_swaps_overall` the phase-3 solve. `notes` names the certificate of
+    each number (a bound, the embedding check, the search with the work it
+    spent, or a HiGHS solve) and the status of a solve that ended a phase
+    without one.
     """
     check_time_limit(time_limit)
     res = PipelineResult()
@@ -226,11 +229,11 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
             f"swaps fits in {target} single-swap steps"
         )
         return res
-    if step_result.status == "timeout":
-        res.notes.append(f"solve timed out at {target} single-swap steps")
-        return res
     if not step_result.is_optimal:
-        res.notes.append(f"step-count solve ended with status {step_result.status}")
+        res.notes.append(
+            f"phase-3 solve at {target} single-swap steps ended with status "
+            f"{step_result.status}"
+        )
         return res
     res.ms = int(round(step_result.objective))
     res.swap_solution = _certified(inst, step_solution.compacted(), res.ms, target)
@@ -250,18 +253,24 @@ def _certified(inst: TmpInstance, solution: SwapSolution | None, swaps: int,
 
 def _steps_and_swaps_at_mt(inst, time_limit, res, steps) -> bool:
     """Phases 1 and 2 through HiGHS: set mt, ms_at_mt and their solution on
-    res, or add a timeout note and return False.
+    res, or add a note naming the solver status that ended the phase and
+    return False.
 
     An exact mt from the search is the only horizon tried, and it is set on
-    res, with its note, before any solve, so a timeout keeps it; otherwise
-    the sweep starts at the first layer the search did not finish.
+    res, with its note, before any solve, so a failed solve keeps it;
+    otherwise the sweep starts at the first layer the search did not
+    finish. Only a proof of infeasibility moves the sweep to the next step
+    count: any other status proves nothing about t steps.
     """
     if steps.exact:
         res.mt = steps.value
         res.notes.append(f"certified by search: mt = {steps.value} (work {steps.work})")
-    # phase 0, the embedding check, is the search's first layer: mt >= 1
-    start = steps.value if steps.exact else max(step_lower_bound(inst), steps.value, 1)
-    t_cap = start if steps.exact else inst.hardware.n * inst.hardware.n
+        start = t_cap = steps.value
+    else:
+        # phase 0, the embedding check, is the search's first layer: mt >= 1
+        lower = step_lower_bound(inst)
+        start = max(lower, steps.value, 1)
+        t_cap = inst.hardware.n * inst.hardware.n
     phase1 = 0.0
     attempt = None
     t = start
@@ -269,13 +278,13 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps) -> bool:
         t0 = time.monotonic()
         a = solve_min_swaps_at(inst, t, time_limit=time_limit)
         probe = time.monotonic() - t0
-        if a.status == "timeout":
-            res.timings["find_min_steps"] = phase1 + probe
-            res.notes.append(f"solve timed out while probing {t} steps")
-            return False
         if a.status == "optimal":
             attempt = a
             break
+        if a.status != "infeasible":
+            res.timings["find_min_steps"] = phase1 + probe
+            res.notes.append(f"phase-1 solve at {t} steps ended with status {a.status}")
+            return False
         phase1 += probe
         t += 1
     if attempt is None:
@@ -292,8 +301,13 @@ def _steps_and_swaps_at_mt(inst, time_limit, res, steps) -> bool:
             res.notes.append(
                 f"certified by search: mt = {t}, none within {t - 1} steps (work {steps.work})"
             )
-        else:
+        elif start == lower:
             res.notes.append(f"certified by bound: mt = {t}, the step lower bound")
+        else:
+            res.notes.append(
+                f"certified by embedding check: mt = {t}, no placement puts every gate "
+                "on a hardware edge"
+            )
     res.notes.append(f"certified by phase-2 solve: ms_at_mt = {res.ms_at_mt}")
     return True
 

@@ -337,16 +337,16 @@ def verify_integer_hull(
     """Probe a description for exactness.
 
     Checks that (a) every bilinear integer point satisfies the constraints,
-    (b) every satisfying 0/1 point is a bilinear point, and (c) LP optima
-    for randomly drawn objectives land on integral vertices; when the
-    dimension is at most _ENUMERATE_DIM_LIMIT and the basis count fits under
-    _MAX_BASES, all vertices are enumerated exactly as well. Returns a
-    report dict; report["integral"] is False with a witness vector when a
-    fractional vertex shows up. num_objectives must be at least 1: a report
-    that probed no objective would certify nothing.
+    (b) every satisfying 0/1 point is a bilinear point, and (c) every vertex
+    is integral. When the dimension is at most _ENUMERATE_DIM_LIMIT and the
+    basis count fits under _MAX_BASES, (c) is decided exactly by enumerating
+    every vertex; only where enumeration cannot run is it probed instead,
+    with LP optima for num_objectives random objectives. Returns a report
+    dict; report["integral"] is False with a witness vector when a
+    fractional vertex shows up. num_objectives must be at least 1, whichever
+    way (c) is decided: a report that probed no objective would certify
+    nothing.
     """
-    from scipy.optimize import linprog
-
     if num_objectives < 1:
         raise ValueError(f"num_objectives must be at least 1, got {num_objectives}")
     if constraints is None:
@@ -374,40 +374,42 @@ def verify_integer_hull(
                 if ok != ((i, j, z) in points):
                     zero_one_exact = False
 
-    dim, a_eq, b_eq, a_ub, b_ub = _lp_matrices(g, constraints)
-    rng = np.random.default_rng(seed)
-    fractional = None
-    for _ in range(num_objectives):
-        c = rng.normal(size=dim)
-        # dual simplex: on criterion 08's LPs (7-9 variables) interior point
-        # with crossover took 2.4-2.7 ms per solve against 1.9-2.2 ms for
-        # dual simplex (2-core x86, scipy 1.17)
-        res = linprog(
-            c, A_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(b_ub) else None,
-            A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, 1.0)] * dim, method="highs-ds",
-        )
-        if not res.success:
-            continue
-        if np.max(np.abs(res.x - np.round(res.x))) > _INTEGRALITY_TOL:
-            fractional = res.x.tolist()
-            break
-    enumerated = None
-    if fractional is None and dim <= _ENUMERATE_DIM_LIMIT:
+    verts = None
+    if g.nx + g.ny + 1 <= _ENUMERATE_DIM_LIMIT:
         try:
             verts = enumerate_polytope_vertices(g, constraints)
-        except ValueError:
-            verts = None
-        if verts is not None:
-            enumerated = len(verts)
-            for v in verts:
-                if any(abs(c - round(c)) > _INTEGRALITY_TOL for c in v):
-                    fractional = list(v)
-                    break
+        except ValueError:  # more bases than _MAX_BASES
+            pass
+    fractional = None
+    if verts is not None:
+        for v in verts:
+            if any(abs(c - round(c)) > _INTEGRALITY_TOL for c in v):
+                fractional = list(v)
+                break
+    else:
+        from scipy.optimize import linprog
+
+        dim, a_eq, b_eq, a_ub, b_ub = _lp_matrices(g, constraints)
+        rng = np.random.default_rng(seed)
+        for _ in range(num_objectives):
+            c = rng.normal(size=dim)
+            # dual simplex: on LPs of 7-9 variables, interior point with
+            # crossover took 2.4-2.7 ms per solve against 1.9-2.2 ms for dual
+            # simplex (2-core x86, scipy 1.17)
+            res = linprog(
+                c, A_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, 1.0)] * dim, method="highs-ds",
+            )
+            if not res.success:
+                continue
+            if np.max(np.abs(res.x - np.round(res.x))) > _INTEGRALITY_TOL:
+                fractional = res.x.tolist()
+                break
     return {
         "points_valid": points_valid,
         "zero_one_exact": zero_one_exact,
         "integral": fractional is None,
         "fractional_vertex": fractional,
         "num_constraints": len(constraints),
-        "num_vertices_enumerated": enumerated,
+        "num_vertices_enumerated": None if verts is None else len(verts),
     }

@@ -89,6 +89,19 @@ def test_benchmark_route_check_accepts_the_result(monkeypatch, name):
     assert op.check(op.run()) is None
 
 
+def test_benchmark_oracle_check_accepts_the_answers(monkeypatch):
+    # the oracle_search workload calls the three oracle queries, which sit on
+    # the search kernel's interface; a change there that breaks an answer
+    # would only show in the benchmark's self-check, outside tier-1
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    ops = workloads.build("oracle_search", 0).ops
+    assert ops
+    for op in ops:
+        assert op.check(op.run()) is None, op.name
+
+
 @pytest.mark.parametrize("builder", ["build_variant", "build_swap_step_model"])
 def test_reference_lp_reads_the_model_container(monkeypatch, builder):
     # references.lp_objective reads the container's objective, rows, bounds

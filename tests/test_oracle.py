@@ -73,8 +73,28 @@ def test_node_frame_search_work():
     assert search.work <= 5_000
 
 
+def test_searches_share_one_goal_test_memo(monkeypatch):
+    # breadth-first search, A* at mt and the cheaper search ask one goal
+    # test, so no mask reaches the embedding search twice; with a memo per
+    # search, A* re-tested what breadth-first had decided and the worked
+    # example took 1,076 units
+    embed = oracle_module.embed_masks
+    tested = []
+
+    def spy(order, adj, limit):
+        tested.append(tuple(adj))
+        return embed(order, adj, limit)
+
+    monkeypatch.setattr(oracle_module, "embed_masks", spy)
+    search = RelativeFrameSearch(TmpInstance(path_graph(6), star_graph(6)))
+    steps, at_mt, cheaper = search.settle()
+    assert (steps.value, at_mt.value, cheaper.value) == (2, 4, 3)
+    assert tested and len(set(tested)) == len(tested)
+    assert search.work == 734
+
+
 def test_path7_settles_within_the_pipeline_budget():
-    # the single-swap cheaper search proves ms = 15 in 76,400 units in all;
+    # the single-swap cheaper search proves ms = 15 in 76,372 units in all;
     # branching on every matching it ran out at 99,996
     search = RelativeFrameSearch(TmpInstance(path_graph(7), complete_graph(7)), SEARCH_BUDGET)
     steps, at_mt, cheaper = search.settle()
@@ -84,7 +104,7 @@ def test_path7_settles_within_the_pipeline_budget():
 
 def test_grid_baseline_search_work():
     # the embedding test that places gate vertices in connected order spends
-    # 1,835 units here; the degree-ordered one spent 2,427 and fails this
+    # 1,715 units here; the degree-ordered one spends 2,267 and fails this
     search = RelativeFrameSearch(generate_instance("grid3x3", 0.3, 5))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper) == (1, 2, None)
@@ -192,20 +212,18 @@ def test_relative_frame_matches_brute_force():
             mt = next(t for t, v in enumerate(want) if v is not None)
             seen.add(f"mt={mt}")
             assert oracle_min_steps(inst) == mt
-        # every exact answer's goal state rebuilds into a solution that attains it
+        # one search answers every horizon through one goal-test memo, and
+        # each A* goal state rebuilds into a solution that attains its answer
         search = RelativeFrameSearch(inst)
-        outcomes = [(search.min_steps(), None)]
-        outcomes += [(search.min_swaps_within(t), t) for t in range(horizon + 1)]
-        for out, steps in outcomes:
-            assert out.exact
+        for t in range(horizon + 1):
+            out = search.min_swaps_within(t)
+            assert out.exact and out.value == (-1 if want[t] is None else want[t])
             if out.value < 0:
                 assert out.path == ()
                 continue
             check = validate_swap_solution(inst, search.witness(out))
             assert check.valid, (inst.hardware.edges, inst.algorithm.edges, out)
-            assert check.steps <= (out.value if steps is None else steps)
-            if steps is not None:
-                assert check.swaps == out.value
+            assert check.steps <= t and check.swaps == out.value
     assert seen == {"infeasible", "mt=0", "mt=1", "mt=2", "mt=3", "ms checked"}
 
 
@@ -234,7 +252,9 @@ def test_budgeted_answers_are_lower_bounds():
             assert out.work <= extra
             assert out == mt if out.exact else out.value <= mt.value
         for t in (mt.value, mt.value + 1):
-            want = full.min_swaps_within(t)
+            # a search of its own, so its work is what a budgeted one needs:
+            # `full` remembers the goal tests of its earlier searches
+            want = RelativeFrameSearch(inst).min_swaps_within(t)
             assert want.value == oracle_min_swaps_at(inst, t)
             for extra in range(0, want.work + 1, max(1, want.work // 40)):
                 out = _budgeted(inst, extra).min_swaps_within(t)

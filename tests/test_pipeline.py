@@ -9,7 +9,7 @@ import commroute.milp.models as milp_models
 import commroute.pipeline as pipeline_module
 import commroute.scheduler as scheduler
 
-from commroute.bounds import cheaper_swap_floor, swap_lower_bound
+from commroute.bounds import cheaper_swap_floor, step_lower_bound, swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
 from commroute.milp import SolveResult
 from commroute.oracle import (
@@ -314,7 +314,7 @@ def test_timeout_yields_partial_result(monkeypatch, highs_only):
     res = solve_min_swaps(inst)
     assert not res.complete
     assert not (res.mt_optimal and res.ms_at_mt_optimal and res.ms_optimal)
-    assert any("timed out" in note for note in res.notes)
+    assert any("ended with status timeout" in note for note in res.notes)
 
 
 def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
@@ -326,7 +326,52 @@ def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
     assert res.mt == 2 and res.mt_optimal
     assert res.ms_at_mt is None and not res.ms_at_mt_optimal
     assert res.notes == ["certified by search: mt = 2 (work 8235)",
-                         "solve timed out while probing 2 steps"]
+                         "phase-1 solve at 2 steps ended with status timeout"]
+
+
+def test_phase_one_moves_on_only_past_a_proof_of_infeasibility(monkeypatch, highs_only):
+    # a first probe that ends with status "unknown" proves nothing about 1
+    # step; read as infeasible, it certified mt = 2 on P3 / K3, where mt = 1
+    right = pipeline_module.solve_min_swaps_at
+    calls = []
+
+    def unknown_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            return milp_models.SolveAttempt("unknown", None, None)
+        return right(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "solve_min_swaps_at", unknown_first)
+    res = solve_min_swaps(TmpInstance(path_graph(3), complete_graph(3)))
+    assert len(calls) == 1
+    assert res.mt is None and not res.complete
+    assert res.notes == ["phase-1 solve at 1 steps ended with status unknown"]
+
+
+def test_phase_three_notes_the_status_it_ended_with(monkeypatch, highs_only):
+    # only the one-swap-per-step model has step indicators s_t
+    solve = pipeline_module.ScipyBackend.solve
+
+    def phase_three_times_out(self, model, time_limit=None):
+        if any(v.name == "s_t1" for v in model.variables):
+            return SolveResult("timeout")
+        return solve(self, model, time_limit)
+
+    monkeypatch.setattr(pipeline_module.ScipyBackend, "solve", phase_three_times_out)
+    res = solve_min_swaps(TmpInstance(path_graph(6), star_graph(6)))
+    assert (res.mt, res.ms_at_mt, res.ms) == (2, 4, None)
+    assert res.notes[-1] == "phase-3 solve at 3 single-swap steps ended with status timeout"
+
+
+def test_mt_note_names_the_bound_that_starts_the_sweep(highs_only):
+    # the step lower bound is 0 on P4 / star4 and the search cannot start,
+    # so mt >= 1 rests on the embedding check alone
+    inst = TmpInstance(path_graph(4), star_graph(4))
+    assert step_lower_bound(inst) == 0
+    res = solve_min_swaps(inst)
+    assert res.mt == 1
+    assert res.notes[0] == ("certified by embedding check: mt = 1, no placement puts "
+                            "every gate on a hardware edge")
 
 
 def test_route_example():

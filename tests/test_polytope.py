@@ -179,6 +179,20 @@ def test_integer_hull_verified(h):
     assert report["fractional_vertex"] is None
 
 
+def test_enumeration_alone_decides_a_small_hull(monkeypatch):
+    # path3's description has dimension 7, where every vertex is enumerated
+    # exactly, so no random-objective LP probe runs
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP probe ran where enumeration decides")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    report = verify_integer_hull(hardware_to_bipartite(path_graph(3)), "eq")
+    assert report["integral"] and report["fractional_vertex"] is None
+    assert report["num_vertices_enumerated"] > 0
+
+
 @pytest.mark.parametrize("num_objectives", [0, -1])
 def test_hull_check_needs_an_objective(num_objectives):
     # the check fires before any probe: above the enumeration limit no vertex
