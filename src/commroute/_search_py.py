@@ -68,11 +68,12 @@ expansion reaches every mask the stale one would, at no more cost.
 Witness. Each A* heap entry carries a link (parent link, matching index),
 and a goal state returns the matching indices along its links as
 Outcome.path. Replaying them from the identity placement rebuilds the
-goal's U, which is its M relabelled by L_t, so it holds the gate graph as
-M does; by the soundness argument any embedding of the gate graph into
-([n], U), dummies on the leftover labels, is a start placement from which
-the sequence realizes every gate. The Pareto lists keep no links, and
-breadth-first, which answers mt alone, keeps none at all.
+goal's M and L_t, and U = L_t(M); so an embedding of the gate graph into
+([n], M), composed with L_t, embeds it into ([n], U), and by the
+soundness argument that, dummies on the leftover labels, is a start
+placement from which the sequence realizes every gate (`replay` rebuilds
+M). The Pareto lists keep no links, and breadth-first, which answers mt
+alone, keeps none at all.
 
 One swap on hardware edge {i, j} makes at most swap_capacity label pairs
 adjacent that were not adjacent before (bounds.max_gain_per_swap), and so
@@ -151,6 +152,19 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
         per_edge[u, v] = tuple(low.items())
     deltas = tuple(tuple(d for e in m for d in per_edge[e]) for m in matchings)
     return StepTables(base, deltas, tuple(len(m) for m in matchings))
+
+
+def replay(tables, path) -> int:
+    """The mask M that the matchings path (indices into the tables) reach
+    from E(H)."""
+    base, steps, _ = tables
+    mask = base
+    for mi in path:
+        for d, low in steps[mi]:
+            t = ((mask >> d) ^ mask) & low
+            mask ^= t | t << d
+        mask |= base
+    return mask
 
 
 def min_steps(tables, starts, reached, budget=inf):

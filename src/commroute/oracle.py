@@ -6,13 +6,14 @@ exponential: instances above the node limit are refused outright.
 `RelativeFrameSearch` prepares the instance tables and the goal test
 and runs the searches, optionally under a work budget, which is how the
 pipeline uses it; it also turns an A* goal state into a witness
-`SwapSolution`. The search itself runs once, in the kernel module
-_search_py, over graphs on the hardware nodes: a state is the set of node
-pairs whose tokens have met, which starts as the hardware edges. The
-kernel's docstring proves why that one search covers every start placement
-and why the labels the tokens carry need not be part of the state. The
-kernel functions are looked up on that module at every call, so a wrapper
-installed on _search_py (a profiler or tracer) sees every search.
+`SwapSolution`, from the embedding the goal test found there. The search
+itself runs once, in the kernel module _search_py, over graphs on the
+hardware nodes: a state is the set of node pairs whose tokens have met,
+which starts as the hardware edges. The kernel's docstring proves why
+that one search covers every start placement and why the labels the
+tokens carry need not be part of the state. The kernel functions are
+looked up on that module at every call, so a wrapper installed on
+_search_py (a profiler or tracer) sees every search.
 
 What depends on the hardware alone is built once per hardware `Graph`
 and kept in a weak-key table (`_hardware_tables`): its matchings, the ends
@@ -46,10 +47,11 @@ from .solutions import (
     Matching,
     SwapSolution,
     TmpInstance,
+    TokenPlacement,
     embed_masks,
     embedding_order,
-    is_subgraph_placement,
 )
+from .solutions import is_subgraph_placement  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 DEFAULT_NODE_LIMIT = 7
 
@@ -119,9 +121,10 @@ class RelativeFrameSearch:
     The search owns the goal test, "the gate graph embeds into the mask",
     and the three searches share it. A mask with fewer pairs than gates
     fails it at once; any other is decided by `embed_masks` and
-    remembered, so no mask is embedded twice on one instance and a
-    remembered answer costs no work. A decided answer does not depend on
-    the budget, so the memo holds for all three searches.
+    remembered, with the image it found or None, so no mask is embedded
+    twice on one instance and a remembered answer costs no work. A decided
+    answer does not depend on the budget, so the memo holds for all three
+    searches, and `witness` reads a goal state's image from it.
 
     The hardware's HardwareTables (its matchings, their delta-swap tables,
     the one-edge matchings' share of them and the gain bounds) are built
@@ -129,7 +132,8 @@ class RelativeFrameSearch:
     in a weak-key table, so they go when the caller's graph does. Only a
     complete enumeration of the matchings is kept: a budget below the
     matching count stops the enumeration at budget + 1 and keeps nothing.
-    The gate graph's `embedding_order` is computed once per search.
+    The gate graph's `embedding_order` is built once per gate `Graph`, in
+    a weak-key table of the same kind.
 
     Work counts the hardware matchings enumerated, the successors the
     searches generate, and for each embedding test the node pairs in the
@@ -170,7 +174,8 @@ class RelativeFrameSearch:
         n = inst.num_nodes
         ends = tables.ends
         order = embedding_order(inst.algorithm)
-        memo: dict[int, bool] = {}
+        # mask -> the image `embed_masks` found, or None when it found none
+        self._images = images = {}
 
         def reached(mask: int, limit: float) -> tuple[bool | None, int]:
             # one unit per pair of the mask plus one per backtracking step;
@@ -178,9 +183,9 @@ class RelativeFrameSearch:
             size = mask.bit_count()
             if size < gates:
                 return False, 0
-            hit = memo.get(mask)
-            if hit is not None:
-                return hit, 0
+            image = images.get(mask, False)  # False: not tested yet
+            if image is not False:
+                return image is not None, 0
             if size >= limit:
                 return None, 0
             adj = [0] * n
@@ -194,8 +199,8 @@ class RelativeFrameSearch:
             image, steps = embed_masks(order, adj, limit - size - 1)
             if image is None and steps > limit - size - 1:
                 return None, size + steps
-            hit = memo[mask] = image is not None
-            return hit, size + steps
+            images[mask] = image
+            return image is not None, size + steps
 
         self._reached = reached
 
@@ -260,23 +265,29 @@ class RelativeFrameSearch:
 
     def witness(self, out: Outcome) -> SwapSolution | None:
         """The solution behind an exact A* Outcome (`min_swaps_within` or
-        `cheaper_swaps`) with a nonnegative value: its path replayed from
-        the identity placement rebuilds U, and the gate graph's embedding
-        into U is the start placement. None when U does not hold the gate
-        graph, which a correct path never gives."""
+        `cheaper_swaps`) with a nonnegative value.
+
+        Its path, replayed through the step tables (`_search_py.replay`),
+        gives the goal mask M, and replayed on the tokens, the label tok[i]
+        on each node i. The goal test kept the image of the gate graph it
+        found in M, so no embedding is searched again: M = L_t^-1(U), so
+        gate qubit q starts on node tok[image[q]], and the dummy tokens
+        take the leftover nodes in ascending order (the soundness argument
+        in _search_py). None when the path leads to no mask the goal test
+        embedded, which a correct path never gives."""
+        image = self._images.get(_search_py.replay(self._tables.steps, out.path))
+        if image is None:
+            return None
         n = self.inst.num_nodes
-        tok = list(range(n))
-        seen = set(self.inst.hardware.edges)
         matchings = self._tables.matchings
+        tok = list(range(n))
         for mi in out.path:
             for u, v in matchings[mi]:
                 tok[u], tok[v] = tok[v], tok[u]
-            seen.update((min(tok[u], tok[v]), max(tok[u], tok[v]))
-                        for u, v in self.inst.hardware.edges)
-        start = is_subgraph_placement(TmpInstance(Graph(n, seen), self.inst.algorithm))
-        if start is None:
-            return None
-        return SwapSolution(start, tuple(matchings[mi] for mi in out.path))
+        start = [tok[node] for node in image]
+        taken = set(start)
+        start += [node for node in range(n) if node not in taken]
+        return SwapSolution(TokenPlacement(tuple(start)), tuple(matchings[mi] for mi in out.path))
 
 
 def oracle_min_steps(inst: TmpInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:

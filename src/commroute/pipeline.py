@@ -47,9 +47,10 @@ from .solutions import (
 # (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
-# K16 (2 cores, Python 3.11). The route bench instances need at most 1,715
+# K16 (2 cores, Python 3.11). The route bench instances need at most 911
 # units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
-# search in 76,372 units, its `ms` proof branching on single swaps.
+# search in 76,372 units, its `ms` proof branching on single swaps, and
+# grid3x3 d0.5 s2 (`generate_instance`) in 88,516.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {

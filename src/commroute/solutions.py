@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -321,36 +322,76 @@ def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> Circui
 
 
 class EmbeddingOrder(NamedTuple):
-    """The order `embed_masks` places the vertices of a gate graph in.
+    """The order `embed_masks` places the vertices of a gate graph in, and
+    what it prunes with.
 
     vertices[k] is the vertex placed at position k, earlier[k] the positions
-    before k that hold its neighbours, and degree[k] its degree.
+    before k that hold its neighbours, and degree[k] its degree. pending[k]
+    holds a pair (j, r) for each position j < k whose vertex has r > 0
+    neighbours at position k or later, except the positions in earlier[k - 1].
+    need[d] is the number of vertices of degree d or more, for d up to the
+    largest degree.
     """
 
     vertices: tuple[int, ...]
     earlier: tuple[tuple[int, ...], ...]
     degree: tuple[int, ...]
+    pending: tuple[tuple[tuple[int, int], ...], ...]
+    need: tuple[int, ...]
+
+
+# gate Graph -> its EmbeddingOrder, for as long as the Graph lives
+_orders: weakref.WeakKeyDictionary[Graph, EmbeddingOrder] = weakref.WeakKeyDictionary()
 
 
 def embedding_order(a: Graph) -> EmbeddingOrder:
     """Connected order: next the vertex with the most neighbours already
-    placed, then the one of higher degree, then the lower index."""
-    placed_nbrs = [0] * a.n
-    left = set(range(a.n))
-    position = [0] * a.n
+    placed, then the one of higher degree, then the lower index.
+
+    Built once per gate `Graph` and kept in a weak-key table, so the
+    direct-placement check and every search on one gate graph share it; an
+    entry lives as long as the caller's graph (or an equal one that was
+    first), and holds no reference to it.
+    """
+    order = _orders.get(a)
+    if order is not None:
+        return order
+    n = a.n
+    nbrs = a.adjacency
+    deg = [len(q) for q in nbrs]
+    # placed neighbours weigh n each, more than any degree
+    score = deg[:]
+    left = list(range(n))
+    position = [n] * n
     vertices: list[int] = []
+    earlier: list[tuple[int, ...]] = []
+    pending: list[tuple[tuple[int, int], ...]] = []
+    later = [0] * n  # per position, its neighbours not placed yet
+    back: tuple[int, ...] = ()
     while left:
-        p = min(left, key=lambda q: (-placed_nbrs[q], -a.degree(q), q))
+        p = max(left, key=score.__getitem__)  # the first maximum: the lower index
         left.remove(p)
-        position[p] = len(vertices)
+        k = len(vertices)
+        pending.append(tuple((j, r) for j, r in enumerate(later[:k]) if r and j not in back))
+        back = tuple(position[q] for q in nbrs[p] if position[q] < k)
+        for j in back:
+            later[j] -= 1
+        later[k] = deg[p] - len(back)
+        position[p] = k
         vertices.append(p)
-        for q in a.adjacency[p]:
-            placed_nbrs[q] += 1
-    earlier = tuple(
-        tuple(position[q] for q in a.adjacency[p] if position[q] < k)
-        for k, p in enumerate(vertices)
-    )
-    return EmbeddingOrder(tuple(vertices), earlier, tuple(a.degree(p) for p in vertices))
+        earlier.append(back)
+        for q in nbrs[p]:
+            score[q] += n
+    top = max(deg, default=0)
+    need = [0] * (top + 1)
+    for d in deg:
+        need[d] += 1
+    for d in range(top, 0, -1):
+        need[d - 1] += need[d]
+    order = _orders[a] = EmbeddingOrder(
+        tuple(vertices), tuple(earlier), tuple(deg[p] for p in vertices), tuple(pending),
+        tuple(need))
+    return order
 
 
 def embed_masks(
@@ -359,16 +400,18 @@ def embed_masks(
     """The search behind `embed_within`, for a gate graph given by its
     `embedding_order` and a host graph whose node i has the neighbour
     bitmask adj[i]; returns (image, steps) as `embed_within` does."""
-    vertices, earlier, degree = order
+    vertices, earlier, degree, pending, need = order
     size = len(vertices)
     if not size:
         return [], 0
-    # ok[k]: nodes with at least degree[k] neighbours
-    top = max(degree)
+    # at_least[d]: nodes with at least d neighbours, of which need[d] are needed
+    top = len(need) - 1
     at_least = [0] * (top + 1)
     for node, nbrs in enumerate(adj):
         at_least[min(nbrs.bit_count(), top)] |= 1 << node
     for d in range(top, 0, -1):
+        if at_least[d].bit_count() < need[d]:
+            return None, 0
         at_least[d - 1] |= at_least[d]
     ok = [at_least[d] for d in degree]
     placed = [0] * size  # the node at each position
@@ -401,6 +444,12 @@ def embed_masks(
         c = ok[k] & ~used
         for j in earlier[k]:
             c &= adj[placed[j]]
+        if c:
+            free = ~used
+            for j, r in pending[k]:
+                if (adj[placed[j]] & free).bit_count() < r:
+                    c = 0
+                    break
         cands[k] = c
 
 
@@ -419,6 +468,13 @@ def embed_within(a: Graph, h: Graph, limit: float = inf) -> tuple[list[int] | No
     placed, then the one of higher degree, so most placements have a
     placed neighbour to prune against.
 
+    Counting reject. Before any step: for each d, if fewer nodes of h have
+    at least d neighbours than vertices of a have degree d or more, the
+    answer is no. An embedding maps the deg(p) neighbours of p injectively
+    onto neighbours of p's image, so it maps the vertices of degree >= d
+    injectively into the nodes with >= d neighbours (Hall's condition on
+    degrees).
+
     Candidates. Each node of h has a bitmask of its neighbours. The
     candidates for vertex p are the nodes that are free, have at least
     deg(p) neighbours, and lie in the neighbour mask of the image of every
@@ -426,17 +482,31 @@ def embed_within(a: Graph, h: Graph, limit: float = inf) -> tuple[list[int] | No
     each one tried is a step. The search runs iteratively, one candidate
     mask per position, and backtracks when a position's mask is empty.
 
-    Exhaustive. A node outside p's candidates extends no embedding of the
-    vertices placed so far: an embedding is injective, maps the deg(p)
-    neighbours of p injectively onto neighbours of p's image, and maps each
-    edge between p and a placed vertex onto an edge. So every prefix of an
-    embedding passes the filters at each position. Every candidate at every
-    position is tried before the search backtracks, so it reaches every
-    assignment that passes them, each embedding's prefixes included, and
-    each edge of a is checked when its later end is placed, so a full
-    assignment it reaches is an embedding. A None image within `limit`
-    steps therefore proves that no embedding exists; the order decides
-    only how early the pruning bites.
+    Free-neighbour lookahead. A placed vertex q with r neighbours not yet
+    placed needs r free neighbours of its image: the embedding maps those
+    neighbours, injectively, onto neighbours of q's image that no placed
+    vertex holds. So when some placed q has fewer, the next position gets
+    no candidates. Placing vertex p on node x takes one free neighbour
+    from the images that neighbour x, and one unplaced neighbour from the
+    vertices adjacent to p, whose images all neighbour x; so only p itself
+    and the placed vertices not adjacent to p can newly fall short, and
+    only they are checked (`EmbeddingOrder.pending`). No vertex was short
+    when the position before was filled, so this finds every shortfall a
+    check of all placed vertices would.
+
+    Exhaustive. Each filter is a necessary condition: a node outside p's
+    candidates, or a placement that leaves some q short of free
+    neighbours, extends no embedding of the vertices placed so far, since
+    an embedding is injective, maps the edges between p and placed
+    vertices onto edges, and maps the neighbours of each vertex injectively
+    onto neighbours of its image. So every prefix of an embedding passes
+    the filters at each position. Every candidate at every position is
+    tried before the search backtracks, so it reaches every assignment
+    that passes them, each embedding's prefixes included, and each edge of
+    a is checked when its later end is placed, so a full assignment it
+    reaches is an embedding. A None image within `limit` steps therefore
+    proves that no embedding exists; the order decides only how early the
+    pruning bites.
     """
     if a.num_edges > h.num_edges:
         return None, 0

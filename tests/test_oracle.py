@@ -103,12 +103,86 @@ def test_path7_settles_within_the_pipeline_budget():
 
 
 def test_grid_baseline_search_work():
-    # the embedding test that places gate vertices in connected order spends
-    # 1,715 units here; the degree-ordered one spends 2,267 and fails this
+    # the embedding test with the counting reject and the free-neighbour
+    # lookahead spends 911 units here (breadth-first 214, A* at mt 567);
+    # without them it spent 1,715, four failing tests of 258 steps each, and
+    # the degree-ordered one spends 2,267
     search = RelativeFrameSearch(generate_instance("grid3x3", 0.3, 5))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper) == (1, 2, None)
-    assert search.work <= 2_000
+    assert (steps.work, at_mt.work) == (214, 567)
+    assert search.work == 911
+
+
+@pytest.mark.parametrize("inst", [
+    generate_instance("grid3x3", 0.3, 5),
+    TmpInstance(path_graph(6), star_graph(6)),
+], ids=["grid-baseline", "worked-example"])
+def test_witness_reads_the_goal_tests_embedding(monkeypatch, inst):
+    # the goal test keeps the image it found, so rebuilding a witness runs
+    # no embedding search, neither the goal test's nor a placement check
+    search = RelativeFrameSearch(inst)
+    steps, at_mt, cheaper = search.settle()
+    tested = []
+
+    def spy(*args):
+        tested.append(args)
+        raise AssertionError("the witness ran an embedding search")
+
+    monkeypatch.setattr(oracle_module, "embed_masks", spy)
+    monkeypatch.setattr(oracle_module, "is_subgraph_placement", spy)
+    for out, max_steps in ((at_mt, steps.value), (cheaper, at_mt.value - 1)):
+        if out is None:
+            continue
+        check = validate_swap_solution(inst, search.witness(out))
+        assert check.valid and check.swaps == out.value and check.steps <= max_steps
+    assert tested == []
+
+
+def test_witness_of_a_path_the_goal_test_never_passed_is_none():
+    # a goal mask the goal test failed, or has not tested yet, holds no image
+    inst = TmpInstance(path_graph(6), star_graph(6))
+    out = RelativeFrameSearch(inst).min_swaps_within(2)
+    assert out.value == 4
+    search = RelativeFrameSearch(inst)
+    assert search.witness(out) is None  # not tested yet
+    assert search.min_steps().value == 2
+    assert search.witness(out._replace(path=())) is None  # the hardware edges fail
+    assert search.min_swaps_within(2).path == out.path
+    assert validate_swap_solution(inst, search.witness(out)).valid
+
+
+def _relabel(inst, rng):
+    """An isomorphic copy: hardware nodes and gate qubits permuted apart."""
+    nodes = rng.sample(range(inst.hardware.n), inst.hardware.n)
+    qubits = rng.sample(range(inst.algorithm.n), inst.algorithm.n)
+    return TmpInstance(Graph(inst.hardware.n, [(nodes[u], nodes[v]) for u, v in inst.hardware.edges]),
+                       Graph(inst.algorithm.n, [(qubits[p], qubits[q]) for p, q in inst.algorithm.edges]))
+
+
+@pytest.mark.parametrize("inst", [
+    generate_instance("grid3x3", 0.3, 5),
+    generate_instance("grid3x3", 0.5, 2),
+    TmpInstance(path_graph(6), star_graph(6)),
+], ids=["grid-baseline", "grid3x3-d0.5-s2", "worked-example"])
+def test_relabelling_keeps_every_answer(inst):
+    # the pair bits, the delta swaps and the embedding test's pruning depend
+    # on the numbering only through bit order, and the answers not at all;
+    # the work does, so under the pipeline's budget the cheaper search of a
+    # relabelling may run out, and its value is then a lower bound
+    steps, at_mt, cheaper = RelativeFrameSearch(inst, SEARCH_BUDGET).settle()
+    assert steps.exact and at_mt.exact and (cheaper is None or cheaper.exact)
+    rng = random.Random(6)
+    for _ in range(8):
+        got = RelativeFrameSearch(_relabel(inst, rng), SEARCH_BUDGET).settle()
+        assert got[0].exact and got[1].exact
+        assert (got[0].value, got[1].value) == (steps.value, at_mt.value)
+        if cheaper is None:
+            assert got[2] is None
+        elif got[2].exact:
+            assert got[2].value == cheaper.value
+        else:
+            assert got[2].value <= cheaper.value
 
 
 def test_star_hardware_complete():
@@ -286,11 +360,12 @@ def test_budget_bounds_the_embedding_tests():
 
 def test_embedding_gives_up_one_step_past_its_limit():
     assert embed_within(complete_graph(4), complete_graph(4))[0] is not None
-    # a 4-node path does not fit in a triangle plus an isolated node
-    triangle = Graph(4, [(0, 1), (1, 2), (0, 2)])
-    image, steps = embed_within(path_graph(4), triangle)
+    # a 4-node path does not fit in a triangle plus a disjoint edge, though
+    # the host has enough nodes of each degree for the counting reject
+    host = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    image, steps = embed_within(path_graph(4), host)
     assert image is None and steps > 2  # decided: no
-    assert embed_within(path_graph(4), triangle, 2) == (None, 3)  # undecided
+    assert embed_within(path_graph(4), host, 2) == (None, 3)  # undecided
 
 
 def test_cheaper_swaps_decides_the_overall_optimum():

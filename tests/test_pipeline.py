@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -8,6 +9,7 @@ import commroute._search_py as search_kernel
 import commroute.milp.models as milp_models
 import commroute.pipeline as pipeline_module
 import commroute.scheduler as scheduler
+import commroute.solutions as solutions_module
 
 from commroute.bounds import cheaper_swap_floor, step_lower_bound, swap_lower_bound
 from commroute.graphs import Graph, complete_graph, cycle_graph, grid_graph, path_graph, star_graph
@@ -318,14 +320,14 @@ def test_timeout_yields_partial_result(monkeypatch, highs_only):
 
 
 def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
-    # the search proves mt = 2 here (work 8,235) and its A* at mt runs out;
+    # the search proves mt = 2 here (work 6,557) and its A* at mt runs out;
     # a timed-out phase-2 solve must not drop that certified mt
     monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
                         lambda *args, **kwargs: milp_models.SolveAttempt("timeout", None, None))
     res = solve_min_swaps(generate_instance("grid3x3", 0.5, 0), time_limit=1)
     assert res.mt == 2 and res.mt_optimal
     assert res.ms_at_mt is None and not res.ms_at_mt_optimal
-    assert res.notes == ["certified by search: mt = 2 (work 8235)",
+    assert res.notes == ["certified by search: mt = 2 (work 6557)",
                          "phase-1 solve at 2 steps ended with status timeout"]
 
 
@@ -410,6 +412,22 @@ def test_route_keeps_the_solve_when_the_schedule_times_out(monkeypatch):
     assert res.schedule is None and res.routed_circuit is None
     assert "schedule solve ended with status timeout" in res.notes
     assert "schedule" in res.timings
+
+
+def test_route_builds_the_gate_graphs_embedding_order_once(monkeypatch):
+    # the direct-placement check and the search share one EmbeddingOrder
+    built = []
+
+    class Orders(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(solutions_module, "_orders", Orders())
+    inst = generate_instance("grid3x3", 0.3, 5)
+    res = route(inst)
+    assert (res.mt, res.ms_at_mt, res.ms) == (1, 2, 2)
+    assert built == [inst.algorithm]
 
 
 def test_route_zero_gates():

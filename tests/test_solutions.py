@@ -194,6 +194,44 @@ def test_embedding_matches_brute_force():
     assert len(seen) == 6, seen
 
 
+def test_pruned_embedding_is_exact_at_every_limit():
+    # the counting reject and the free-neighbour lookahead drop only
+    # assignments that extend to no embedding: at every step limit an image
+    # is an embedding, and a None within the limit means that none exists
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        density = rng.choice((0.3, 0.5, 0.7))
+        h = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        a = _random_graph(rng.randint(2, n), rng)
+        want = any(all(h.has_edge(f[u], f[v]) for u, v in a.edges)
+                   for f in permutations(range(n), a.n))
+        _, used = embed_within(a, h)
+        for limit in range(used + 1):
+            image, steps = embed_within(a, h, limit)
+            assert steps <= limit + 1
+            if image is not None:
+                assert len(set(image)) == a.n
+                assert all(h.has_edge(image[u], image[v]) for u, v in a.edges)
+            elif steps <= limit:
+                assert not want, (a.edges, h.edges, limit)
+        seen.add((want, used == 0))
+    assert seen == {(True, False), (False, False), (False, True)}, seen
+
+
+def test_counting_reject_needs_no_step():
+    # the host has more edges than the gate graph but too few nodes of high
+    # degree: two gate vertices of degree 3, one such node
+    gates = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    host = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
+    assert gates.num_edges < host.num_edges
+    assert embed_within(gates, host) == (None, 0)
+    # one fewer gate of degree 3, and the search has to place vertices
+    image, steps = embed_within(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), host)
+    assert image is not None and steps > 0
+
+
 def test_instance_round_trip():
     inst = TmpInstance(path_graph(4), star_graph(3))
     assert TmpInstance.from_dict(inst.to_dict()) == inst
