@@ -84,6 +84,28 @@ and states that cannot gain gates - |M| pairs in the remaining steps are
 pruned. The state space is finite and dominance only drops states, so an
 infeasible input ends with an exhausted frontier.
 
+Partial expansion. A* expands the last step, from a state one step below
+max_steps, one swap-count class at a time (StepTables.classes, built
+once per hardware graph). A successor at max_steps, a leaf, has no step
+left to gain a pair: one with fewer pairs than gates can never pass the
+goal test and is dropped, and every other has h = 0. So a leaf's f is
+exactly g + the size of its matching. Instead of its successors, such a
+state pushes one cursor keyed g + the smallest size. Popping a cursor
+generates that class's leaves, one unit of work each, admits each leaf
+and goal-tests it at once, then re-pushes the cursor keyed by the next
+size. The classes come in increasing size, so a cursor's key is at most
+the f of every leaf it has not generated. A leaf generated from the
+cursor has f equal to its key, the smallest key on the heap: testing it
+there is the test it would get if pushed, since it would pop before any
+larger f and has no successors, so a hit is optimal. A dominated leaf is
+skipped untested: the entry of its mask that dominates it has h = 0 too,
+and was tested when generated or popped, or waits on the heap at that
+same f. A cursor carries its state's (steps, swaps), and is skipped
+when they have left the mask's list, by the argument for stale entries:
+the displacing entry, with no more steps and no more swaps, reaches
+each of the cursor's leaf masks through its own expansion at no more
+swaps, or with steps to spare. The earlier steps expand every matching.
+
 Budget. Both searches take an optional budget, a cap on their work: the
 successors they generate plus the work the goal tests report. Work
 is never time, so a budgeted run stops at the same point on every run.
@@ -92,9 +114,11 @@ optimum. Breadth-first, every layer before the one being generated has
 been checked, so no solution has fewer steps than that layer's depth. In
 A*, some open state lies on an optimal sequence, or has the same mask as
 a state that does with no more steps and no more swaps, and so lies on a
-sequence that is optimal too. Its f = g + h is at most the optimum,
-because h is admissible and depends on the mask alone; so the smallest f
-on the heap, the f of the state about to be expanded, is a lower bound.
+sequence that is optimal too; or an open cursor has yet to generate the
+last leaf of such a sequence. The state's f = g + h is at most the
+optimum, because h is admissible and depends on the mask alone, and the
+cursor's key is at most that leaf's f; so the smallest key on the heap,
+that of the entry about to be popped, is a lower bound.
 """
 
 from __future__ import annotations
@@ -126,14 +150,16 @@ def _path(link) -> tuple[int, ...]:
 
 
 class StepTables(NamedTuple):
-    """The E(H) mask `base` and, per matching, the (shift, low mask) delta
+    """The E(H) mask `base`; per matching, the (shift, low mask) delta
     swaps `deltas` that apply sigma_m to a node-pair mask and its swap
-    count `sizes`. Built once per hardware graph and shared, read-only, by
-    every search on it."""
+    count `sizes`; and `classes`, the matchings grouped by swap count, one
+    (count, matching indices) per count in increasing order. Built once
+    per hardware graph and shared, read-only, by every search on it."""
 
     base: int
     deltas: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
@@ -151,13 +177,16 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
                 low[b - a] = low.get(b - a, 0) | 1 << a
         per_edge[u, v] = tuple(low.items())
     deltas = tuple(tuple(d for e in m for d in per_edge[e]) for m in matchings)
-    return StepTables(base, deltas, tuple(len(m) for m in matchings))
+    sizes = tuple(len(m) for m in matchings)
+    classes = tuple((k, tuple(mi for mi, size in enumerate(sizes) if size == k))
+                    for k in sorted(set(sizes)))
+    return StepTables(base, deltas, sizes, classes)
 
 
 def replay(tables, path) -> int:
     """The mask M that the matchings path (indices into the tables) reach
     from E(H)."""
-    base, steps, _ = tables
+    base, steps = tables.base, tables.deltas
     mask = base
     for mi in path:
         for d, low in steps[mi]:
@@ -174,7 +203,7 @@ def min_steps(tables, starts, reached, budget=inf):
     finitely many.
     """
     work = 0
-    base, steps, _ = tables
+    base, steps = tables.base, tables.deltas
     seen: set[int] = set()
     frontier: list[int] = []
     for mask in starts:
@@ -228,7 +257,7 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
     swap, and swap_capacity bounds it as well.
     """
     work = 0
-    base, steps, sizes = tables
+    base, steps, sizes, classes = tables
     pareto: dict[int, list[tuple[int, int]]] = {}
 
     def admit(mask: int, s: int, g: int) -> bool:
@@ -247,7 +276,9 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
             return -1  # unreachable
         return -(-missing // swap_capacity)
 
-    heap: list[tuple[int, int, int, int, int, tuple | None]] = []
+    # (f, g, s, counter, mask, link, class): a state when class is None, else
+    # the cursor of a state one step below max_steps, keyed g + classes[class][0]
+    heap: list[tuple[int, int, int, int, int, tuple | None, int | None]] = []
     counter = 0
     for mask in starts:
         missing = num_gates - mask.bit_count()
@@ -257,12 +288,38 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
         if missing > 0 and step_capacity > 0 and missing > max_steps * step_capacity:
             continue
         if admit(mask, 0, 0):
-            heapq.heappush(heap, (h, 0, 0, counter, mask, None))
+            heapq.heappush(heap, (h, 0, 0, counter, mask, None, None))
             counter += 1
     while heap:
-        f, g, s, _, mask, link = heapq.heappop(heap)
+        f, g, s, _, mask, link, ci = heapq.heappop(heap)
         if (s, g) not in pareto[mask]:
             continue  # stale: its dominating entry has popped already
+        if ci is not None:
+            size, members = classes[ci]
+            if work + len(members) > budget:
+                return Outcome(f, False, work)
+            work += len(members)
+            g2 = g + size
+            for mi in members:
+                m2 = mask
+                for d, low in steps[mi]:
+                    t = ((m2 >> d) ^ m2) & low
+                    m2 ^= t | t << d
+                m2 |= base
+                # a leaf short of pairs has no step left to gain them
+                if m2.bit_count() < num_gates or not admit(m2, max_steps, g2):
+                    continue
+                hit, spent = reached(m2, budget - work)
+                work += spent
+                if hit is None:
+                    return Outcome(f, False, work)
+                if hit:
+                    return Outcome(g2, True, work, _path((link, mi)))
+            ci += 1
+            if ci < len(classes):
+                heapq.heappush(heap, (g + classes[ci][0], g, s, counter, mask, link, ci))
+                counter += 1
+            continue
         hit, spent = reached(mask, budget - work)
         work += spent
         if hit is None:
@@ -270,6 +327,10 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
         if hit:
             return Outcome(g, True, work, _path(link))
         if s >= max_steps:
+            continue
+        if s + 1 == max_steps:
+            heapq.heappush(heap, (g + classes[0][0], g, s, counter, mask, link, 0))
+            counter += 1
             continue
         if work + len(steps) > budget:
             return Outcome(f, False, work)
@@ -289,6 +350,6 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
                 continue
             g2 = g + sizes[mi]
             if admit(m2, s2, g2):
-                heapq.heappush(heap, (g2 + h, g2, s2, counter, m2, (link, mi)))
+                heapq.heappush(heap, (g2 + h, g2, s2, counter, m2, (link, mi), None))
                 counter += 1
     return Outcome(-1, True, work)

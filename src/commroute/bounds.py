@@ -67,8 +67,9 @@ def step_lower_bound(inst: TmpInstance) -> int:
     return _deficit_bound(inst, max_gain_per_step(inst.hardware), "swap step")
 
 
-def cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
-    """Fewest swaps any solution cheaper than the best mt-step one can have.
+def cheaper_swap_floor(inst: TmpInstance, mt: int, swap_gain: int | None = None) -> int:
+    """Fewest swaps any solution cheaper than the best mt-step one can have;
+    swap_gain, when the caller holds it, is max_gain_per_swap(inst.hardware).
 
     The serialization lemma. Take any solution with s swaps and perform its
     swaps one at a time: the placements it visits are a superset of the
@@ -88,7 +89,9 @@ def cheaper_swap_floor(inst: TmpInstance, mt: int) -> int:
     swap each therefore sees every cheaper solution; and with no step cap,
     the fewest swaps over all solutions equal the fewest single-swap steps.
     """
-    return max(mt + 1, swap_lower_bound(inst))
+    if swap_gain is None:
+        swap_gain = max_gain_per_swap(inst.hardware)
+    return max(mt + 1, _deficit_bound(inst, swap_gain, "swap"))
 
 
 def swap_upper_bound(inst: TmpInstance, min_steps: int) -> int:

@@ -17,13 +17,14 @@ _search_py (a profiler or tracer) sees every search.
 
 What depends on the hardware alone is built once per hardware `Graph`
 and kept in a weak-key table (`_hardware_tables`): its matchings, the ends
-of each node-pair bit, the delta-swap step tables, the one-edge matchings'
-share of them and the two gain bounds. The oracle's three queries on one
-instance, and every later search on that device, share them. An entry
-lives as long as the caller's graph (or an equal one that was first), and
-holds no reference to it. Only complete matching enumerations are kept,
-and a search charges the same work whether it finds its tables there or
-builds them, so a budgeted answer repeats to the unit.
+of each node-pair bit, the delta-swap step tables with the matchings
+grouped by swap count, the one-edge matchings' share of them and the two
+gain bounds. The oracle's three queries on one instance, and every later
+search on that device, share them. An entry lives as long as the caller's
+graph (or an equal one that was first), and holds no reference to it.
+Only complete matching enumerations are kept, and a search charges the
+same work whether it finds its tables there or builds them, so a budgeted
+answer repeats to the unit.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class HardwareTables(NamedTuple):
     """What the searches need of one hardware graph, all of it read-only:
     every nonempty matching, the node-pair ends (a, 1 << b, b, 1 << a) of
     each pair bit, the StepTables of the matchings, the indices of the
-    one-edge matchings and their StepTables, and the two gain bounds."""
+    one-edge matchings and their StepTables (one class, of size 1), and
+    the two gain bounds."""
 
     matchings: tuple[Matching, ...]
     ends: tuple[tuple[int, int, int, int], ...]
@@ -99,7 +101,8 @@ def _build_tables(hw: Graph, matchings: tuple[Matching, ...]) -> HardwareTables:
     steps = _search_py.step_tables(n, matchings, hw.edges, pair_bit)
     singles = tuple(mi for mi, m in enumerate(matchings) if len(m) == 1)
     single_steps = steps._replace(
-        deltas=tuple(steps.deltas[mi] for mi in singles), sizes=(1,) * len(singles))
+        deltas=tuple(steps.deltas[mi] for mi in singles), sizes=(1,) * len(singles),
+        classes=((1, tuple(range(len(singles)))),))
     return HardwareTables(
         matchings, tuple((a, 1 << b, b, 1 << a) for a, b in pairs), steps, singles,
         single_steps, max_gain_per_swap(hw), max_gain_per_step(hw),
@@ -151,6 +154,7 @@ class RelativeFrameSearch:
         self.inst = inst
         self.left = inf if budget is None else budget
         self.work = 0
+        self.floor: int | None = None  # set by `settle` once it certifies mt
         hw = inst.hardware
         tables = _hardware_tables.get(hw)
         if tables is None:
@@ -254,12 +258,15 @@ class RelativeFrameSearch:
     def settle(self) -> tuple[Outcome, Outcome | None, Outcome | None]:
         """The Outcomes of the breadth-first search (mt), A* at mt (ms_at_mt)
         and `cheaper_swaps` (ms); a search is None when `cheaper_swap_floor`
-        settles it or an earlier one is inexact or finds no solution."""
+        settles it or an earlier one is inexact or finds no solution. Once
+        the breadth-first search certifies mt, `floor` holds
+        `cheaper_swap_floor` at mt, computed from the tables' swap gain."""
         steps = self.min_steps()
         at_mt = cheaper = None
         if steps.exact and steps.value >= 0:
+            self.floor = cheaper_swap_floor(self.inst, steps.value, self._tables.swap_gain)
             at_mt = self.min_swaps_within(steps.value)
-            if at_mt.exact and at_mt.value > cheaper_swap_floor(self.inst, steps.value):
+            if at_mt.exact and at_mt.value > self.floor:
                 cheaper = self.cheaper_swaps(at_mt.value)
         return steps, at_mt, cheaper
 

@@ -47,10 +47,10 @@ from .solutions import (
 # (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
-# K16 (2 cores, Python 3.11). The route bench instances need at most 911
+# K16 (2 cores, Python 3.11). The route bench instances need at most 837
 # units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
-# search in 76,372 units, its `ms` proof branching on single swaps, and
-# grid3x3 d0.5 s2 (`generate_instance`) in 88,516.
+# search in 76,364 units, its `ms` proof branching on single swaps;
+# grid3x3 d0.5 s2 (`generate_instance`) in 72,924 and d0.7 s1 in 34,269.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {
@@ -180,7 +180,7 @@ def solve_min_swaps(inst: TmpInstance, time_limit: float | None = None) -> Pipel
     elif not _steps_and_swaps_at_mt(inst, time_limit, res, steps):
         return res
 
-    floor = cheaper_swap_floor(inst, res.mt)
+    floor = cheaper_swap_floor(inst, res.mt) if search.floor is None else search.floor
     if res.ms_at_mt <= floor:
         res.ms = res.ms_at_mt
         res.notes.append(

@@ -90,11 +90,11 @@ def test_searches_share_one_goal_test_memo(monkeypatch):
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper.value) == (2, 4, 3)
     assert tested and len(set(tested)) == len(tested)
-    assert search.work == 734
+    assert search.work == 626
 
 
 def test_path7_settles_within_the_pipeline_budget():
-    # the single-swap cheaper search proves ms = 15 in 76,372 units in all;
+    # the single-swap cheaper search proves ms = 15 in 76,364 units in all;
     # branching on every matching it ran out at 99,996
     search = RelativeFrameSearch(TmpInstance(path_graph(7), complete_graph(7)), SEARCH_BUDGET)
     steps, at_mt, cheaper = search.settle()
@@ -104,14 +104,45 @@ def test_path7_settles_within_the_pipeline_budget():
 
 def test_grid_baseline_search_work():
     # the embedding test with the counting reject and the free-neighbour
-    # lookahead spends 911 units here (breadth-first 214, A* at mt 567);
-    # without them it spent 1,715, four failing tests of 258 steps each, and
-    # the degree-ordered one spends 2,267
+    # lookahead, and A* generating its last step one swap-count class at a
+    # time, spend 837 units here (breadth-first 214, A* at mt 493); A* that
+    # generated every matching at the last step spent 911 (A* at mt 567),
+    # the embedding test without the two prunes 1,715, and the
+    # degree-ordered one 2,267
     search = RelativeFrameSearch(generate_instance("grid3x3", 0.3, 5))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper) == (1, 2, None)
-    assert (steps.work, at_mt.work) == (214, 567)
-    assert search.work == 911
+    assert (steps.work, at_mt.work) == (214, 493)
+    assert search.work == 837
+
+
+class _Recorded(tuple):
+    """Delta-swap tables that record which matchings the kernel reads."""
+
+    def __new__(cls, deltas, read):
+        out = super().__new__(cls, deltas)
+        out.read = read
+        return out
+
+    def __getitem__(self, mi):
+        self.read.append(mi)
+        return super().__getitem__(mi)
+
+
+def test_last_step_stops_at_the_goals_swap_count():
+    # at mt = 1 every successor is a leaf: A* generates the one-swap class,
+    # then the two-swap class, whose leaf reaches the goal at f = 2; the
+    # three- and four-swap matchings are never generated
+    search = RelativeFrameSearch(generate_instance("grid3x3", 0.3, 5))
+    assert search.min_steps().value == 1
+    tables = search._tables
+    read = []
+    search._tables = tables._replace(
+        steps=tables.steps._replace(deltas=_Recorded(tables.steps.deltas, read)))
+    assert search.min_swaps_within(1).value == 2
+    sizes = {tables.steps.sizes[mi] for mi in read}
+    assert sizes == {1, 2}
+    assert max(tables.steps.sizes) == 4
 
 
 @pytest.mark.parametrize("inst", [
@@ -183,6 +214,19 @@ def test_relabelling_keeps_every_answer(inst):
             assert got[2].value == cheaper.value
         else:
             assert got[2].value <= cheaper.value
+
+
+def test_dense_grid_settles_within_the_pipeline_budget():
+    # grid3x3 d0.7 s1 settles (2, 6, 5) by search in 34,269 units, and its
+    # relabellings here in 33,115 to 37,925; when A* generated every
+    # matching of its last step, the cheaper search ran out of the budget
+    # on all nine (108,745 units unbudgeted on the first)
+    inst = generate_instance("grid3x3", 0.7, 1)
+    rng = random.Random(6)
+    for copy in [inst] + [_relabel(inst, rng) for _ in range(8)]:
+        steps, at_mt, cheaper = RelativeFrameSearch(copy, SEARCH_BUDGET).settle()
+        assert all(out.exact for out in (steps, at_mt, cheaper))
+        assert (steps.value, at_mt.value, cheaper.value) == (2, 6, 5)
 
 
 def test_star_hardware_complete():

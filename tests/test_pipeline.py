@@ -320,15 +320,15 @@ def test_timeout_yields_partial_result(monkeypatch, highs_only):
 
 
 def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
-    # the search proves mt = 2 here (work 6,557) and its A* at mt runs out;
+    # the search proves mt = 3 here (work 44,985) and its A* at mt runs out;
     # a timed-out phase-2 solve must not drop that certified mt
     monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
                         lambda *args, **kwargs: milp_models.SolveAttempt("timeout", None, None))
-    res = solve_min_swaps(generate_instance("grid3x3", 0.5, 0), time_limit=1)
-    assert res.mt == 2 and res.mt_optimal
+    res = solve_min_swaps(generate_instance("grid3x3", 0.7, 0), time_limit=1)
+    assert res.mt == 3 and res.mt_optimal
     assert res.ms_at_mt is None and not res.ms_at_mt_optimal
-    assert res.notes == ["certified by search: mt = 2 (work 6557)",
-                         "phase-1 solve at 2 steps ended with status timeout"]
+    assert res.notes == ["certified by search: mt = 3 (work 44985)",
+                         "phase-1 solve at 3 steps ended with status timeout"]
 
 
 def test_phase_one_moves_on_only_past_a_proof_of_infeasibility(monkeypatch, highs_only):
