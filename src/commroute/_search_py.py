@@ -79,32 +79,41 @@ One swap on hardware edge {i, j} makes at most swap_capacity label pairs
 adjacent that were not adjacent before (bounds.max_gain_per_swap), and so
 adds at most that many pairs to U, and to M, which has as many pairs;
 step_capacity bounds a whole step the same way (bounds.max_gain_per_step).
-Hence ceil((gates - |M|) / swap_capacity) is an admissible A* heuristic
-and states that cannot gain gates - |M| pairs in the remaining steps are
-pruned. The state space is finite and dominance only drops states, so an
-infeasible input ends with an exhausted frontier.
+Hence ceil((gates - |M|) / swap_capacity) is an admissible A* heuristic,
+and a consistent one: a step of k swaps lowers it by at most k. States
+that cannot gain gates - |M| pairs in the remaining steps are pruned. The
+state space is finite and dominance only drops states, so an infeasible
+input ends with an exhausted frontier.
 
-Partial expansion. A* expands the last step, from a state one step below
-max_steps, one swap-count class at a time (StepTables.classes, built
-once per hardware graph). A successor at max_steps, a leaf, has no step
-left to gain a pair: one with fewer pairs than gates can never pass the
-goal test and is dropped, and every other has h = 0. So a leaf's f is
-exactly g + the size of its matching. Instead of its successors, such a
-state pushes one cursor keyed g + the smallest size. Popping a cursor
-generates that class's leaves, one unit of work each, admits each leaf
-and goal-tests it at once, then re-pushes the cursor keyed by the next
-size. The classes come in increasing size, so a cursor's key is at most
-the f of every leaf it has not generated. A leaf generated from the
-cursor has f equal to its key, the smallest key on the heap: testing it
-there is the test it would get if pushed, since it would pop before any
-larger f and has no successors, so a hit is optimal. A dominated leaf is
+Partial expansion. A* expands a state one swap-count class at a time
+(StepTables.classes, the matchings grouped by size in increasing order,
+built once per hardware graph). A state that fails its goal test below
+max_steps pushes, instead of its successors, one cursor keyed
+g + max(k, h), k the size of its first class. Popping the cursor
+generates that class's successors, one unit of work each, admits each
+and pushes those below max_steps with their own f, then re-pushes the
+cursor keyed by the next class's size. By consistency a successor through k swaps has
+f' = g + k + h' >= g + max(k, h), so a cursor's key is at most the f of
+every successor it has yet to generate, which is all that the arguments
+above and below ask of a heap key. A class of k swaps whose successors
+all miss more pairs than the remaining steps can add,
+gates - |M| - k * swap_capacity > (max_steps - s - 1) * step_capacity,
+would only be pruned: sizes increase, so such classes come first, and the
+cursor starts past them without generating or charging them.
+
+A successor at max_steps, a leaf, has no step left to gain a pair: one
+with fewer pairs than gates is pruned, and every other has h' = 0 and,
+since then h <= k, f' = g + k, the key of the cursor that generates it.
+So a leaf is goal-tested as it is generated: its f is the smallest key on
+the heap, so that is the test it would get if pushed, and having no
+successors it needs nothing else; a hit is optimal. A dominated leaf is
 skipped untested: the entry of its mask that dominates it has h = 0 too,
 and was tested when generated or popped, or waits on the heap at that
-same f. A cursor carries its state's (steps, swaps), and is skipped
-when they have left the mask's list, by the argument for stale entries:
-the displacing entry, with no more steps and no more swaps, reaches
-each of the cursor's leaf masks through its own expansion at no more
-swaps, or with steps to spare. The earlier steps expand every matching.
+same f. A cursor carries its state's (steps, swaps), and is skipped when
+they have left the mask's list, by the argument for stale entries: the
+displacing entry, with no more steps and no more swaps, reaches each of
+the cursor's successor masks through its own cursors at no more swaps
+and no more steps.
 
 Budget. Both searches take an optional budget, a cap on their work: the
 successors they generate plus the work the goal tests report. Work
@@ -114,11 +123,12 @@ optimum. Breadth-first, every layer before the one being generated has
 been checked, so no solution has fewer steps than that layer's depth. In
 A*, some open state lies on an optimal sequence, or has the same mask as
 a state that does with no more steps and no more swaps, and so lies on a
-sequence that is optimal too; or an open cursor has yet to generate the
-last leaf of such a sequence. The state's f = g + h is at most the
-optimum, because h is admissible and depends on the mask alone, and the
-cursor's key is at most that leaf's f; so the smallest key on the heap,
-that of the entry about to be popped, is a lower bound.
+sequence that is optimal too; or the cursor of a popped state on such a
+sequence, at any depth, has yet to generate its next state. The state's
+f = g + h is at most the optimum, because h is admissible and depends on
+the mask alone, and the cursor's key is at most that next state's f; so
+the key of the entry popped last, the smallest on the heap, is a lower
+bound.
 """
 
 from __future__ import annotations
@@ -151,14 +161,14 @@ def _path(link) -> tuple[int, ...]:
 
 class StepTables(NamedTuple):
     """The E(H) mask `base`; per matching, the (shift, low mask) delta
-    swaps `deltas` that apply sigma_m to a node-pair mask and its swap
-    count `sizes`; and `classes`, the matchings grouped by swap count, one
-    (count, matching indices) per count in increasing order. Built once
-    per hardware graph and shared, read-only, by every search on it."""
+    swaps `deltas` that apply sigma_m to a node-pair mask; and `classes`,
+    the matchings grouped by swap count, one (count, matching indices) per
+    count in increasing order, the only order A* expands them in. Built
+    once per hardware graph and shared, read-only, by every search on it;
+    a search over fewer classes replaces `classes` alone."""
 
     base: int
     deltas: tuple[tuple[tuple[int, int], ...], ...]
-    sizes: tuple[int, ...]
     classes: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -177,10 +187,10 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
                 low[b - a] = low.get(b - a, 0) | 1 << a
         per_edge[u, v] = tuple(low.items())
     deltas = tuple(tuple(d for e in m for d in per_edge[e]) for m in matchings)
-    sizes = tuple(len(m) for m in matchings)
+    sizes = [len(m) for m in matchings]
     classes = tuple((k, tuple(mi for mi, size in enumerate(sizes) if size == k))
                     for k in sorted(set(sizes)))
-    return StepTables(base, deltas, sizes, classes)
+    return StepTables(base, deltas, classes)
 
 
 def replay(tables, path) -> int:
@@ -253,11 +263,11 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
     swap_capacity bounds how many new pairs one swap can add to M and feeds
     an admissible A* heuristic; step_capacity does the same per step and
     prunes states that cannot finish in the remaining steps. The tables
-    may hold any of the matchings: over the one-edge ones a step is one
-    swap, and swap_capacity bounds it as well.
+    may hold any of the swap-count classes: over the one-swap class alone
+    a step is one swap, and swap_capacity bounds it as well.
     """
     work = 0
-    base, steps, sizes, classes = tables
+    base, steps, classes = tables
     pareto: dict[int, list[tuple[int, int]]] = {}
 
     def admit(mask: int, s: int, g: int) -> bool:
@@ -269,46 +279,67 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
         entries.append((s, g))
         return True
 
+    def reach(steps_left: float) -> float:
+        # the most pairs steps_left steps can add; a capacity of 0 adds
+        # none, and is tested first since inf * 0 is not a number
+        return steps_left * step_capacity if swap_capacity > 0 and step_capacity > 0 else 0
+
     def heuristic(missing: int) -> int:
-        if missing <= 0:
-            return 0
-        if swap_capacity <= 0:
-            return -1  # unreachable
-        return -(-missing // swap_capacity)
+        return -(-missing // swap_capacity) if missing > 0 else 0
 
     # (f, g, s, counter, mask, link, class): a state when class is None, else
-    # the cursor of a state one step below max_steps, keyed g + classes[class][0]
+    # its cursor, keyed g + max(classes[class][0], h)
     heap: list[tuple[int, int, int, int, int, tuple | None, int | None]] = []
     counter = 0
     for mask in starts:
         missing = num_gates - mask.bit_count()
-        h = heuristic(missing)
-        if h < 0:
-            continue
-        if missing > 0 and step_capacity > 0 and missing > max_steps * step_capacity:
-            continue
-        if admit(mask, 0, 0):
-            heapq.heappush(heap, (h, 0, 0, counter, mask, None, None))
+        if missing <= reach(max_steps) and admit(mask, 0, 0):
+            heapq.heappush(heap, (heuristic(missing), 0, 0, counter, mask, None, None))
             counter += 1
-    while heap:
-        f, g, s, _, mask, link, ci = heapq.heappop(heap)
+    cursor = None
+    while heap or cursor:
+        # pushing the cursor and popping the smallest entry in one call
+        f, g, s, _, mask, link, ci = (heapq.heappop(heap) if cursor is None
+                                      else heapq.heappushpop(heap, cursor))
+        cursor = None
         if (s, g) not in pareto[mask]:
             continue  # stale: its dominating entry has popped already
-        if ci is not None:
+        limit = reach(max_steps - s - 1)  # what a successor's steps left can add
+        if ci is None:
+            hit, spent = reached(mask, budget - work)
+            work += spent
+            if hit is None:
+                return Outcome(f, False, work)
+            if hit:
+                return Outcome(g, True, work, _path(link))
+            if s >= max_steps:
+                continue
+            # k swaps add at most k * swap_capacity pairs: the smaller
+            # classes leave every successor more pairs than it can add
+            ci, missing = 0, num_gates - mask.bit_count()
+            while ci < len(classes) and missing - classes[ci][0] * swap_capacity > limit:
+                ci += 1
+        else:
             size, members = classes[ci]
             if work + len(members) > budget:
                 return Outcome(f, False, work)
             work += len(members)
-            g2 = g + size
+            g2, s2 = g + size, s + 1
             for mi in members:
                 m2 = mask
                 for d, low in steps[mi]:
                     t = ((m2 >> d) ^ m2) & low
                     m2 ^= t | t << d
                 m2 |= base
-                # a leaf short of pairs has no step left to gain them
-                if m2.bit_count() < num_gates or not admit(m2, max_steps, g2):
+                missing2 = num_gates - m2.bit_count()
+                if missing2 > limit or not admit(m2, s2, g2):
                     continue
+                if s2 < max_steps:
+                    heapq.heappush(heap, (g2 + heuristic(missing2), g2, s2, counter, m2,
+                                          (link, mi), None))
+                    counter += 1
+                    continue
+                # a leaf's f = g2 is the key just popped: test it now
                 hit, spent = reached(m2, budget - work)
                 work += spent
                 if hit is None:
@@ -316,40 +347,9 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
                 if hit:
                     return Outcome(g2, True, work, _path((link, mi)))
             ci += 1
-            if ci < len(classes):
-                heapq.heappush(heap, (g + classes[ci][0], g, s, counter, mask, link, ci))
-                counter += 1
-            continue
-        hit, spent = reached(mask, budget - work)
-        work += spent
-        if hit is None:
-            return Outcome(f, False, work)
-        if hit:
-            return Outcome(g, True, work, _path(link))
-        if s >= max_steps:
-            continue
-        if s + 1 == max_steps:
-            heapq.heappush(heap, (g + classes[0][0], g, s, counter, mask, link, 0))
+        if ci < len(classes):
+            # g + max(size, h): f is g + h for a state, and g + max(a smaller
+            # size, h) for a cursor
+            cursor = (max(f, g + classes[ci][0]), g, s, counter, mask, link, ci)
             counter += 1
-            continue
-        if work + len(steps) > budget:
-            return Outcome(f, False, work)
-        work += len(steps)
-        s2 = s + 1
-        for mi, swaps in enumerate(steps):
-            m2 = mask
-            for d, low in swaps:
-                t = ((m2 >> d) ^ m2) & low
-                m2 ^= t | t << d
-            m2 |= base
-            missing = num_gates - m2.bit_count()
-            h = heuristic(missing)
-            if h < 0:
-                continue
-            if missing > 0 and step_capacity > 0 and missing > (max_steps - s2) * step_capacity:
-                continue
-            g2 = g + sizes[mi]
-            if admit(m2, s2, g2):
-                heapq.heappush(heap, (g2 + h, g2, s2, counter, m2, (link, mi), None))
-                counter += 1
     return Outcome(-1, True, work)

@@ -18,13 +18,13 @@ _search_py (a profiler or tracer) sees every search.
 What depends on the hardware alone is built once per hardware `Graph`
 and kept in a weak-key table (`_hardware_tables`): its matchings, the ends
 of each node-pair bit, the delta-swap step tables with the matchings
-grouped by swap count, the one-edge matchings' share of them and the two
-gain bounds. The oracle's three queries on one instance, and every later
-search on that device, share them. An entry lives as long as the caller's
-graph (or an equal one that was first), and holds no reference to it.
-Only complete matching enumerations are kept, and a search charges the
-same work whether it finds its tables there or builds them, so a budgeted
-answer repeats to the unit.
+grouped by swap count, and the two gain bounds. The oracle's three
+queries on one instance, and every later search on that device, share
+them. An entry lives as long as the caller's graph (or an equal one that
+was first), and holds no reference to it. Only complete matching
+enumerations are kept, and a search charges the same work whether it
+finds its tables there or builds them, so a budgeted answer repeats to
+the unit.
 """
 
 from __future__ import annotations
@@ -72,15 +72,12 @@ def _check_size(inst: TmpInstance, node_limit: int) -> None:
 class HardwareTables(NamedTuple):
     """What the searches need of one hardware graph, all of it read-only:
     every nonempty matching, the node-pair ends (a, 1 << b, b, 1 << a) of
-    each pair bit, the StepTables of the matchings, the indices of the
-    one-edge matchings and their StepTables (one class, of size 1), and
-    the two gain bounds."""
+    each pair bit, the StepTables of the matchings, whose first class holds
+    the one-edge matchings, and the two gain bounds."""
 
     matchings: tuple[Matching, ...]
     ends: tuple[tuple[int, int, int, int], ...]
     steps: StepTables
-    singles: tuple[int, ...]
-    single_steps: StepTables
     swap_gain: int
     step_gain: int
 
@@ -98,14 +95,10 @@ def _build_tables(hw: Graph, matchings: tuple[Matching, ...]) -> HardwareTables:
     for bit, (a, b) in enumerate(pairs):
         pair_bit[a * n + b] = bit
         pair_bit[b * n + a] = bit
-    steps = _search_py.step_tables(n, matchings, hw.edges, pair_bit)
-    singles = tuple(mi for mi, m in enumerate(matchings) if len(m) == 1)
-    single_steps = steps._replace(
-        deltas=tuple(steps.deltas[mi] for mi in singles), sizes=(1,) * len(singles),
-        classes=((1, tuple(range(len(singles)))),))
     return HardwareTables(
-        matchings, tuple((a, 1 << b, b, 1 << a) for a, b in pairs), steps, singles,
-        single_steps, max_gain_per_swap(hw), max_gain_per_step(hw),
+        matchings, tuple((a, 1 << b, b, 1 << a) for a, b in pairs),
+        _search_py.step_tables(n, matchings, hw.edges, pair_bit),
+        max_gain_per_swap(hw), max_gain_per_step(hw),
     )
 
 
@@ -116,10 +109,10 @@ class RelativeFrameSearch:
     starting at the hardware edges; a step permutes it by the matching and
     adds the hardware edges again. `min_steps` and `min_swaps_within`
     branch on every hardware matching; `cheaper_swaps` branches on the
-    one-edge matchings only, one swap per step, which the serialization
-    lemma (`cheaper_swap_floor`) shows loses no swap optimum. An A* goal
-    state's path of matching indices replays into the label frame for
-    `witness`.
+    one-swap class of the same tables only, one swap per step, which the
+    serialization lemma (`cheaper_swap_floor`) shows loses no swap
+    optimum. An A* goal state's path of indices into the matchings
+    replays into the label frame for `witness`.
 
     The search owns the goal test, "the gate graph embeds into the mask",
     and the three searches share it. A mask with fewer pairs than gates
@@ -129,12 +122,12 @@ class RelativeFrameSearch:
     answer does not depend on the budget, so the memo holds for all three
     searches, and `witness` reads a goal state's image from it.
 
-    The hardware's HardwareTables (its matchings, their delta-swap tables,
-    the one-edge matchings' share of them and the gain bounds) are built
-    once per hardware `Graph` and shared by every search on it; they live
-    in a weak-key table, so they go when the caller's graph does. Only a
-    complete enumeration of the matchings is kept: a budget below the
-    matching count stops the enumeration at budget + 1 and keeps nothing.
+    The hardware's HardwareTables (its matchings, their delta-swap tables
+    grouped by swap count and the gain bounds) are built once per hardware
+    `Graph` and shared by every search on it; they live in a weak-key
+    table, so they go when the caller's graph does. Only a complete
+    enumeration of the matchings is kept: a budget below the matching
+    count stops the enumeration at budget + 1 and keeps nothing.
     The gate graph's `embedding_order` is built once per gate `Graph`, in
     a weak-key table of the same kind.
 
@@ -241,19 +234,20 @@ class RelativeFrameSearch:
         Such a solution serializes into at most ms_at_mt - 1 single-swap
         steps (`cheaper_swap_floor`), and a single-swap solution is a
         solution with as many swaps, so one A* over at most ms_at_mt - 1
-        one-edge matchings sees them all; `max_gain_per_swap` bounds both
-        its swaps and its steps. The Outcome's path indexes the matchings,
-        as `min_swaps_within`'s does.
+        steps, each drawn from the one-swap class of the step tables, sees
+        them all; `max_gain_per_swap` bounds both its swaps and its steps.
+        The Outcome's path indexes the matchings, as `min_swaps_within`'s
+        does.
         """
         if self._reached is None:
             return Outcome(0, False, 0)
-        gain = self._tables.swap_gain
+        steps, gain = self._tables.steps, self._tables.swap_gain
         out = _search_py.min_swaps_within(
-            self._tables.single_steps, self._starts, self._gates, self._reached,
-            ms_at_mt - 1, gain, gain, budget=self.left,
+            steps._replace(classes=steps.classes[:1]), self._starts, self._gates,
+            self._reached, ms_at_mt - 1, gain, gain, budget=self.left,
         )
         self._charge(out.work)
-        return out._replace(path=tuple(self._tables.singles[mi] for mi in out.path))
+        return out
 
     def settle(self) -> tuple[Outcome, Outcome | None, Outcome | None]:
         """The Outcomes of the breadth-first search (mt), A* at mt (ms_at_mt)

@@ -49,8 +49,8 @@ from .solutions import (
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
 # K16 (2 cores, Python 3.11). The route bench instances need at most 837
 # units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
-# search in 76,364 units, its `ms` proof branching on single swaps;
-# grid3x3 d0.5 s2 (`generate_instance`) in 72,924 and d0.7 s1 in 34,269.
+# search in 73,652 units, its `ms` proof branching on single swaps;
+# grid3x3 d0.5 s2 (`generate_instance`) in 72,924 and d0.7 s1 in 33,213.
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {

@@ -62,15 +62,14 @@ def test_path7_complete():
 
 
 def test_node_frame_search_work():
-    # work counts repeat exactly, where a timing would only drift: a search
-    # that keys its states by label placement again spends 40,350 units
-    # here, one that expands stale A* entries 8,586, one whose cheaper
-    # search branches on every matching instead of on single swaps 7,506,
-    # and each fails this
+    # work counts repeat exactly, where a timing would only drift: A* that
+    # generated the swap-count classes whose successors all fall short of
+    # the gates spent 797 units at mt here (3,947 in all)
     search = RelativeFrameSearch(TmpInstance(path_graph(6), complete_graph(6)))
     steps, at_mt, cheaper = search.settle()
     assert (steps.value, at_mt.value, cheaper.value) == (4, 10, -1)
-    assert search.work <= 5_000
+    assert (steps.work, at_mt.work, cheaper.work) == (1_593, 602, 1_545)
+    assert search.work == 3_752
 
 
 def test_searches_share_one_goal_test_memo(monkeypatch):
@@ -94,8 +93,8 @@ def test_searches_share_one_goal_test_memo(monkeypatch):
 
 
 def test_path7_settles_within_the_pipeline_budget():
-    # the single-swap cheaper search proves ms = 15 in 76,364 units in all;
-    # branching on every matching it ran out at 99,996
+    # the cheaper search, over the one-swap class, proves ms = 15 in 73,652
+    # units in all; branching on every matching it ran out at 99,996
     search = RelativeFrameSearch(TmpInstance(path_graph(7), complete_graph(7)), SEARCH_BUDGET)
     steps, at_mt, cheaper = search.settle()
     assert all(out.exact for out in (steps, at_mt, cheaper))
@@ -140,9 +139,9 @@ def test_last_step_stops_at_the_goals_swap_count():
     search._tables = tables._replace(
         steps=tables.steps._replace(deltas=_Recorded(tables.steps.deltas, read)))
     assert search.min_swaps_within(1).value == 2
-    sizes = {tables.steps.sizes[mi] for mi in read}
-    assert sizes == {1, 2}
-    assert max(tables.steps.sizes) == 4
+    size = {mi: k for k, members in tables.steps.classes for mi in members}
+    assert {size[mi] for mi in read} == {1, 2}
+    assert tables.steps.classes[-1][0] == 4
 
 
 @pytest.mark.parametrize("inst", [
@@ -195,12 +194,14 @@ def _relabel(inst, rng):
     generate_instance("grid3x3", 0.3, 5),
     generate_instance("grid3x3", 0.5, 2),
     TmpInstance(path_graph(6), star_graph(6)),
-], ids=["grid-baseline", "grid3x3-d0.5-s2", "worked-example"])
+    TmpInstance(path_graph(7), complete_graph(7)),
+], ids=["grid-baseline", "grid3x3-d0.5-s2", "worked-example", "path7-K7"])
 def test_relabelling_keeps_every_answer(inst):
     # the pair bits, the delta swaps and the embedding test's pruning depend
     # on the numbering only through bit order, and the answers not at all;
     # the work does, so under the pipeline's budget the cheaper search of a
-    # relabelling may run out, and its value is then a lower bound
+    # relabelling may run out, and its value is then a lower bound (path7 /
+    # K7's nine labellings settle in 66,512 to 78,848 units)
     steps, at_mt, cheaper = RelativeFrameSearch(inst, SEARCH_BUDGET).settle()
     assert steps.exact and at_mt.exact and (cheaper is None or cheaper.exact)
     rng = random.Random(6)
@@ -217,8 +218,8 @@ def test_relabelling_keeps_every_answer(inst):
 
 
 def test_dense_grid_settles_within_the_pipeline_budget():
-    # grid3x3 d0.7 s1 settles (2, 6, 5) by search in 34,269 units, and its
-    # relabellings here in 33,115 to 37,925; when A* generated every
+    # grid3x3 d0.7 s1 settles (2, 6, 5) by search in 33,213 units, and its
+    # relabellings here in 32,059 to 36,869; when A* generated every
     # matching of its last step, the cheaper search ran out of the budget
     # on all nine (108,745 units unbudgeted on the first)
     inst = generate_instance("grid3x3", 0.7, 1)
@@ -227,6 +228,17 @@ def test_dense_grid_settles_within_the_pipeline_budget():
         steps, at_mt, cheaper = RelativeFrameSearch(copy, SEARCH_BUDGET).settle()
         assert all(out.exact for out in (steps, at_mt, cheaper))
         assert (steps.value, at_mt.value, cheaper.value) == (2, 6, 5)
+
+
+def test_budgeted_bounds_stay_tight():
+    # grid2x4 / K8 runs out of the pipeline's budget in its cheaper search
+    # with the bound 8, which is the optimum (150,286 units with no budget):
+    # each cursor is keyed no lower than its state's f. Keyed by the state's
+    # swaps plus the class size alone, the bound was 7
+    search = RelativeFrameSearch(TmpInstance(grid_graph(2, 4), complete_graph(8)), SEARCH_BUDGET)
+    steps, at_mt, cheaper = search.settle()
+    assert steps.exact and at_mt.exact and (steps.value, at_mt.value) == (3, 9)
+    assert not cheaper.exact and cheaper.value == 8
 
 
 def test_star_hardware_complete():
@@ -531,8 +543,11 @@ def test_oracle_calls_on_one_hardware_enumerate_its_matchings_once(monkeypatch):
     TmpInstance(grid_graph(2, 3), cycle_graph(4)),
     TmpInstance(path_graph(4), Graph(4, [])),  # no gates
     TmpInstance(path_graph(4), Graph(2, [])),
+    # no swap adds a pair here, so the gain bounds are 0, and the uncapped
+    # cheaper search must not read inf * 0 steps' reach as a prune
+    TmpInstance(Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 1)])),
 ], ids=["path4", "path3-on-path6", "path4-on-cycle5", "cycle4-on-grid2x3", "no-gates",
-        "no-gates-two-qubits"])
+        "no-gates-two-qubits", "no-swap-gain"])
 def test_direct_embedding_is_the_first_goal_test(monkeypatch, inst):
     # the oracle has no embedding pre-check of its own: the search's first
     # goal test, on the hardware edges, answers 0
