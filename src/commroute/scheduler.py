@@ -46,6 +46,22 @@ the first L that succeeds is the optimum: its assignment opens at most L
 layers and, every opened layer holding a gate, at least L, or a smaller L
 would have succeeded.
 
+Slot masks. The search numbers the slots: swap slot (t, 0) is bit t - 1,
+and the extra slots (t, b) follow in (t, b) order. Each gate has one mask
+of the slots it may take (`ScheduleContext.slots`) and each token a mask
+of the slots it runs in; `open_mask` holds the swap slots and the opened
+extra layers, and `next_mask` the next layer each step with room may
+open. A gate's free slots are its mask and the open slots (and, while
+fewer than L layers are open, the next ones), less the slots either token
+runs in: a few integer operations and one `bit_count()` per gate and
+placement, however many slots there are. The masks keep the search's
+order, and so its work count and its assignment: the gate placed is the
+first unplaced one with the fewest free slots, and the scan stops at one
+with at most one; its open free slots are tried in ascending bit order,
+which is the swap slots by step and then the extra layers in (t, b)
+order, and after them its next-layer slots by step. A count of the gates
+in each slot tells when a layer is left empty, and closes it.
+
 Fallback. The search counts the gate placements it tries and stops past
 SEARCH_BUDGET; then `build_schedule_model` states the same assignment
 problem as an integer program and HiGHS solves it.
@@ -53,8 +69,10 @@ problem as an integer program and HiGHS solves it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
+from .graphs import _normalize_edge
 from .milp.backends import ScipyBackend, check_time_limit
 from .milp.model import MilpModel
 from .solutions import (
@@ -64,7 +82,6 @@ from .solutions import (
     SwapSolution,
     TmpInstance,
     TokenPlacement,
-    placement_trajectory,
     validate_swap_solution,
 )
 
@@ -72,11 +89,11 @@ from .solutions import (
 # (`search_assignment`); past them HiGHS solves the integer program.
 # Counting placements rather than time makes a budgeted run repeat exactly.
 # The route bench instances need at most 23 (seeds 0-9, 11 and 100).
-# Grid3x3 / K9 needs 539 at a solution with mt = 4 steps (0.016 s; HiGHS
-# 0.6 s) and 2,646 at the 9-step odd-even transposition sort along a snake
-# path (0.07 s; HiGHS 0.18 s). Spending all 5,000 took 0.22-0.35 s on
-# grid4x4 / K16 at its 16-step snake solution, which HiGHS then solves in
-# 1.8 s (2 cores, Python 3.11).
+# Grid3x3 / K9 needs 539 at a solution with mt = 4 steps (HiGHS 0.6 s) and
+# 2,646 at the 9-step odd-even transposition sort along a snake path
+# (0.008 s; HiGHS 0.18 s). Spending all 5,000 takes 0.02 s, about 4 us a
+# placement, on grid4x4 / K16 at its 16-step snake solution, which HiGHS
+# then solves in 1.8 s (2 cores, Python 3.11).
 SEARCH_BUDGET = 5_000
 
 
@@ -121,37 +138,62 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
     the graph of gates executable there, which always suffices to host
     them all. An invalid swap solution raises ValueError, so every gate
     has at least one executable step.
+
+    One pass builds the trajectory of the compacted solution and checks
+    its structure: the placement size, that each step is a matching, and
+    that each swap is a hardware edge. Coverage is then read from the
+    windows: a gate's executable steps are exactly the placements of the
+    trajectory that put its tokens on a hardware edge, and the compacted
+    trajectory holds every placement the full one does, so a gate with no
+    executable step is exactly a connection `validate_swap_solution`
+    finds uncovered. Only a rejected solution calls the validator, to
+    word the error.
     """
-    check = validate_swap_solution(inst, sol)
-    if not check.valid:
-        raise ValueError(f"swap solution invalid: {'; '.join(check.problems)}")
     compact = sol.compacted()
-    placements = placement_trajectory(compact)
+    edge_set = inst.hardware.edge_set
+    n = inst.num_nodes
+    valid = len(sol.initial) == n
+    trajectory = [sol.initial.pos]
+    matched_at: list[set[int]] = []  # the nodes each step swaps
+    if valid:
+        pos = list(sol.initial.pos)
+        tok = list(sol.initial.token_at)
+        for m in compact.matchings:
+            ends = {v for e in m for v in e}
+            if len(ends) != 2 * len(m) or any(_normalize_edge(*e) not in edge_set for e in m):
+                valid = False
+                break
+            matched_at.append(ends)
+            for u, v in m:
+                p, q = tok[u], tok[v]
+                tok[u], tok[v] = q, p
+                pos[p], pos[q] = v, u
+            trajectory.append(tuple(pos))
     k = len(compact.matchings)
-    h = inst.hardware
-    windows: dict[int, GateWindows] = {}
-    executable: list[list[Edge]] = [[] for _ in range(k + 1)]
-    matched_at = [{v for e in m for v in e} for m in compact.matchings]
-    for g, (p, q) in enumerate(inst.connections):
-        empty_steps = []
-        swap_steps = []
-        for t in range(1, k + 2):
-            f = placements[t - 1]
-            a, b = f.node_of(p), f.node_of(q)
-            if not h.has_edge(a, b):
-                continue
-            empty_steps.append(t)
-            executable[t - 1].append((min(a, b), max(a, b)))
-            if t <= k and a not in matched_at[t - 1] and b not in matched_at[t - 1]:
-                swap_steps.append(t)
-        windows[g] = GateWindows(tuple(empty_steps), tuple(swap_steps))
+    gates = inst.connections
+    empty_steps: list[list[int]] = [[] for _ in gates]
+    swap_steps: list[list[int]] = [[] for _ in gates]
     budgets = []
-    for t in range(k + 1):
-        degree: dict[int, int] = {}
-        for a, b in executable[t]:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        budgets.append((max(degree.values()) if degree else 0) + 1)
+    for t, pos in enumerate(trajectory if valid else (), start=1):
+        matched = matched_at[t - 1] if t <= k else None
+        degree = [0] * n
+        for g, (p, q) in enumerate(gates):
+            a, b = pos[p], pos[q]
+            if (a, b) not in edge_set and (b, a) not in edge_set:
+                continue
+            empty_steps[g].append(t)
+            degree[a] += 1
+            degree[b] += 1
+            if matched is not None and a not in matched and b not in matched:
+                swap_steps[g].append(t)
+        budgets.append(max(degree, default=0) + 1)
+    if not valid or not all(empty_steps):
+        problems = validate_swap_solution(inst, sol).problems
+        raise ValueError(f"swap solution invalid: {'; '.join(problems)}")
+    windows = {
+        g: GateWindows(tuple(empty_steps[g]), tuple(swap_steps[g])) for g in range(len(gates))
+    }
+    placements = [TokenPlacement(pos) for pos in trajectory]
     return ScheduleContext(inst, compact, placements, windows, budgets)
 
 
@@ -240,17 +282,17 @@ def extract_assignment(ctx: ScheduleContext, values: dict[str, float]) -> Assign
 def load_bound(ctx: ScheduleContext) -> int:
     """max over tokens p of d_p - f_p, a lower bound on the extra layers
     (module docstring)."""
-    return max(
-        (
-            len(gs) - len({t for g in gs for t in ctx.windows[g].swap_layer_steps})
-            for gs in _gates_of_token(ctx.gates).values()
-        ),
-        default=0,
-    )
-
-
-class _OutOfBudget(Exception):
-    pass
+    gates_on = [0] * ctx.instance.num_nodes  # d_p per token p
+    steps_of = [0] * ctx.instance.num_nodes  # per token, the steps of f_p as a bitmask
+    for g, (p, q) in enumerate(ctx.gates):
+        steps = 0
+        for t in ctx.windows[g].swap_layer_steps:
+            steps |= 1 << t
+        gates_on[p] += 1
+        gates_on[q] += 1
+        steps_of[p] |= steps
+        steps_of[q] |= steps
+    return max((d - f.bit_count() for d, f in zip(gates_on, steps_of) if d), default=0)
 
 
 def search_assignment(
@@ -262,93 +304,107 @@ def search_assignment(
     than budget placements. bound must be a valid lower bound, such as
     `load_bound`.
     """
-    gates = ctx.gates
-    windows = [ctx.windows[g] for g in range(len(gates))]
-    busy: dict[tuple[int, int], int] = {}  # slot -> bits of the tokens it runs
-    opened_at = [0] * (ctx.num_steps + 2)  # extra layers opened before step t
-    slot_of: Assignment = {}
-    work = opened = limit = 0
+    k = ctx.num_steps
+    budgets = ctx.budgets
+    # slot s is bit s: the swap slots (t, 0) first, then the extra slots in
+    # (t, b) order; first[t - 1] is the bit of (t, 1), and last has the bit
+    # of each step's last extra slot
+    first = []
+    last = 0
+    size = k
+    start = 0  # (t, 1) at each step with room
+    for room in budgets:
+        first.append(size)
+        if room:
+            start |= 1 << size
+            last |= 1 << size + room - 1
+        size += room
+    rows = []  # per gate: (gate, its candidate slots, its tokens)
+    for g, (p, q) in enumerate(ctx.gates):
+        w = ctx.windows[g]
+        cand = 0
+        for t in w.swap_layer_steps:
+            cand |= 1 << t - 1
+        for t in w.empty_layer_steps:
+            cand |= (1 << budgets[t - 1]) - 1 << first[t - 1]
+        rows.append((g, cand, p, q))
+    busy = [0] * ctx.instance.num_nodes  # per token, the slots it runs in
+    held = [0] * size  # per slot, the gates placed in it
+    work = 0
 
-    def free_slots(g: int) -> list[tuple[int, int]]:
-        p, q = gates[g]
-        bits = 1 << p | 1 << q
-        w = windows[g]
-        out = [(t, 0) for t in w.swap_layer_steps if not busy.get((t, 0), 0) & bits]
-        out += [
-            (t, b)
-            for t in w.empty_layer_steps
-            for b in range(1, opened_at[t] + 1)
-            if not busy[t, b] & bits
-        ]
-        if opened < limit:
-            out += [
-                (t, opened_at[t] + 1)
-                for t in w.empty_layer_steps
-                if opened_at[t] < ctx.budgets[t - 1]
-            ]
-        return out
-
-    def fill() -> bool:
+    for limit in range(bound, sum(budgets) + 1):
+        open_mask = (1 << k) - 1  # the swap slots and the opened extra layers
+        next_mask = start  # per step with room, the next extra layer it may open
+        opened = 0
+        unplaced = rows[:]
         # depth-first without recursion, so no gate count meets Python's
-        # recursion limit; each stack entry is (gate, its free slots, index
-        # of the next slot to try)
+        # recursion limit; each stack entry is [its unplaced row, the open
+        # slots and the next-layer slots it has yet to try, its slot]
         stack: list[list] = []
-        while len(slot_of) < len(gates):
-            # the unplaced gate with the fewest free slots; one with none
-            # backtracks at once
-            g, slots = -1, None
-            for h in range(len(gates)):
-                if h not in slot_of:
-                    hs = free_slots(h)
-                    if slots is None or len(hs) < len(slots):
-                        g, slots = h, hs
-                        if len(hs) <= 1:
-                            break
-            stack.append([g, slots, 0])
-            while True:
-                if not stack:
-                    return False
-                top = stack[-1]
-                g, slots, i = top
-                if i:
-                    unplace(g, *slots[i - 1])
-                if i == len(slots):
+        while unplaced:
+            # the unplaced gate with the fewest free slots, the first of them;
+            # one with none backtracks at once
+            allowed = open_mask | next_mask if opened < limit else open_mask
+            best, fewest = 0, -1
+            for i, (_, cand, p, q) in enumerate(unplaced):
+                free = (cand & allowed & ~(busy[p] | busy[q])).bit_count()
+                if fewest < 0 or free < fewest:
+                    best, fewest = i, free
+                    if free <= 1:
+                        break
+            row = unplaced.pop(best)
+            _, cand, p, q = row
+            later = cand & next_mask if opened < limit else 0
+            stack.append([row, cand & open_mask & ~(busy[p] | busy[q]), later, -1])
+            while stack:
+                entry = stack[-1]
+                row, now, later, s = entry
+                _, _, p, q = row
+                if s >= 0:
+                    bit = 1 << s
+                    busy[p] ^= bit
+                    busy[q] ^= bit
+                    held[s] -= 1
+                    if s >= k and not held[s]:
+                        # a layer left empty is the last one opened at its
+                        # step: any opened after it was opened deeper in the
+                        # search and already closed
+                        open_mask ^= bit
+                        if not last & bit:
+                            next_mask ^= bit << 1
+                        next_mask |= bit
+                        opened -= 1
+                if now:
+                    bit = now & -now
+                    entry[1] = now ^ bit
+                elif later:
+                    bit = later & -later
+                    entry[2] = later ^ bit
+                else:
                     stack.pop()
+                    bisect.insort(unplaced, row)
                     continue
-                put(g, *slots[i])
-                top[2] = i + 1
+                if work == budget:
+                    return None, work
+                work += 1
+                s = entry[3] = bit.bit_length() - 1
+                if not open_mask & bit:
+                    open_mask |= bit
+                    next_mask ^= bit
+                    if not last & bit:
+                        next_mask |= bit << 1
+                    opened += 1
+                busy[p] |= bit
+                busy[q] |= bit
+                held[s] += 1
                 break
-        return True
-
-    def put(g: int, t: int, b: int) -> None:
-        nonlocal work, opened
-        if work == budget:
-            raise _OutOfBudget
-        work += 1
-        if b > opened_at[t]:
-            opened_at[t] += 1
-            opened += 1
-        p, q = gates[g]
-        busy[t, b] = busy.get((t, b), 0) | 1 << p | 1 << q
-        slot_of[g] = (t, b)
-
-    def unplace(g: int, t: int, b: int) -> None:
-        # a layer left empty is the last one opened at t: any opened after
-        # it was opened deeper in the search and already closed
-        nonlocal opened
-        p, q = gates[g]
-        busy[t, b] ^= 1 << p | 1 << q
-        del slot_of[g]
-        if b and not busy[t, b]:
-            opened_at[t] -= 1
-            opened -= 1
-
-    try:
-        for limit in range(bound, sum(ctx.budgets) + 1):
-            if fill():
-                return slot_of, work
-    except _OutOfBudget:
-        return None, work
+            else:
+                break  # every branch failed: no assignment within L
+        else:  # every gate placed
+            slot_at = [(t, 0) for t in range(1, k + 1)]
+            for t, room in enumerate(budgets, start=1):
+                slot_at += [(t, b) for b in range(1, room + 1)]
+            return {row[0]: slot_at[s] for row, _, _, s in stack}, work
     raise RuntimeError("no gate assignment fits the extra-layer budgets")
 
 
@@ -361,31 +417,20 @@ def assemble_circuit(ctx: ScheduleContext, assignment: Assignment) -> RoutedCirc
     """
     k = ctx.num_steps
     gates = ctx.gates
-    by_slot: dict[tuple[int, int], list[int]] = {}
-    for g, slot in assignment.items():
-        by_slot.setdefault(slot, []).append(g)
+    edges_at: dict[tuple[int, int], list[Edge]] = {}  # slot -> its gates' edges
+    for g, (t, b) in assignment.items():
+        p, q = gates[g]
+        pos = ctx.placements[t - 1].pos
+        u, v = pos[p], pos[q]
+        edges_at.setdefault((t, b), []).append((u, v) if u < v else (v, u))
     layers: list[CircuitLayer] = []
     for t in range(1, k + 2):
-        f = ctx.placements[t - 1]
-
-        def gate_edges(slot_gates: list[int]) -> tuple[Edge, ...]:
-            edges = []
-            for g in sorted(slot_gates):
-                p, q = gates[g]
-                a, b = f.node_of(p), f.node_of(q)
-                edges.append((min(a, b), max(a, b)))
-            return tuple(sorted(edges))
-
         for b in range(1, ctx.budgets[t - 1] + 1):
-            found = by_slot.get((t, b), [])
-            if found:
-                layers.append(CircuitLayer((), gate_edges(found)))
+            if (t, b) in edges_at:
+                layers.append(CircuitLayer((), tuple(sorted(edges_at[t, b]))))
         if t <= k:
-            layers.append(
-                CircuitLayer(
-                    ctx.solution.matchings[t - 1], gate_edges(by_slot.get((t, 0), []))
-                )
-            )
+            gate_edges = tuple(sorted(edges_at.get((t, 0), ())))
+            layers.append(CircuitLayer(ctx.solution.matchings[t - 1], gate_edges))
     return RoutedCircuit(ctx.solution.initial, tuple(layers))
 
 

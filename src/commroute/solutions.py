@@ -191,7 +191,11 @@ def covered_connections(inst: TmpInstance, placements: list[TokenPlacement]) -> 
 
 
 def validate_swap_solution(inst: TmpInstance, solution: SwapSolution) -> SwapValidation:
-    """Structural and coverage diagnostics; never raises on a bad solution."""
+    """Structural and coverage diagnostics; never raises on a bad solution.
+
+    Coverage swaps the tokens of one flat node -> token list in place, step
+    by step, rather than building each placement of the trajectory.
+    """
     problems: list[str] = []
     n = inst.num_nodes
     if len(solution.initial) != n:
@@ -210,9 +214,18 @@ def validate_swap_solution(inst: TmpInstance, solution: SwapSolution) -> SwapVal
                 problems.append(f"step {t}: swap {e} is not a hardware edge")
     if problems:
         return SwapValidation(False, solution.steps, solution.swaps, problems=problems)
-    placements = placement_trajectory(solution)
-    covered = covered_connections(inst, placements)
-    uncovered = sorted(set(inst.connections) - covered)
+    conns = inst.algorithm.edge_set
+    tok = list(solution.initial.token_at)
+    covered: set[Edge] = set()
+    for m in (*solution.matchings, ()):
+        for u, v in inst.hardware.edges:
+            a, b = tok[u], tok[v]
+            pair = (a, b) if a < b else (b, a)
+            if pair in conns:
+                covered.add(pair)
+        for u, v in m:
+            tok[u], tok[v] = tok[v], tok[u]
+    uncovered = sorted(conns - covered)
     if uncovered:
         problems.append(f"{len(uncovered)} connection(s) never adjacent")
     return SwapValidation(not problems, solution.steps, solution.swaps, uncovered, problems)
@@ -285,7 +298,11 @@ class CircuitValidation:
 
 
 def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> CircuitValidation:
-    """Check layer structure and that every connection runs exactly once."""
+    """Check layer structure and that every connection runs exactly once.
+
+    The layers swap the tokens of one flat node -> token list in place
+    rather than building a placement per layer.
+    """
     problems: list[str] = []
     n = inst.num_nodes
     if len(circuit.initial) != n:
@@ -293,7 +310,9 @@ def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> Circui
             False, circuit.depth, circuit.swaps,
             [f"initial placement has size {len(circuit.initial)}, expected {n}"],
         )
-    f = circuit.initial
+    edge_set = inst.hardware.edge_set
+    conns = inst.algorithm.edge_set
+    tok = list(circuit.initial.token_at)
     remaining = set(inst.connections)
     for d, layer in enumerate(circuit.layers, start=1):
         combined = tuple(layer.swap_edges) + tuple(layer.gate_edges)
@@ -302,20 +321,21 @@ def validate_routed_circuit(inst: TmpInstance, circuit: RoutedCircuit) -> Circui
         except ValueError as exc:
             problems.append(f"layer {d}: {exc}")
             break
-        bad = [e for e in combined if _normalize_edge(*e) not in inst.hardware.edge_set]
+        bad = [e for e in combined if _normalize_edge(*e) not in edge_set]
         if bad:
             problems.append(f"layer {d}: non-hardware edge(s) {bad}")
             break
-        tok = f.token_at
         for u, v in layer.gate_edges:
-            pair = _normalize_edge(tok[u], tok[v])
-            if pair not in inst.algorithm.edge_set:
+            a, b = tok[u], tok[v]
+            pair = (a, b) if a < b else (b, a)
+            if pair not in conns:
                 problems.append(f"layer {d}: gate on {u, v} acts on tokens {pair}, not a connection")
             elif pair not in remaining:
                 problems.append(f"layer {d}: connection {pair} executed twice")
             else:
                 remaining.discard(pair)
-        f = f.apply_matching(layer.swap_edges)
+        for u, v in layer.swap_edges:
+            tok[u], tok[v] = tok[v], tok[u]
     if remaining:
         problems.append(f"{len(remaining)} connection(s) never executed")
     return CircuitValidation(not problems, circuit.depth, circuit.swaps, problems)

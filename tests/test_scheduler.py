@@ -1,20 +1,26 @@
 import random
+from math import prod
 
 import pytest
 
 import commroute.scheduler as scheduler
-from commroute.graphs import Graph, path_graph, star_graph
+from commroute.graphs import Graph, complete_graph, grid_graph, path_graph, star_graph
 from commroute.milp import solve_min_swaps_at
-from commroute.pipeline import generate_instance, solve_min_swaps
+from commroute.pipeline import generate_instance, route, solve_min_swaps
 from commroute.scheduler import (
+    assemble_circuit,
     compute_windows,
+    load_bound,
     schedule_circuit,
+    search_assignment,
 )
 from commroute.solutions import (
     SwapSolution,
     TmpInstance,
     TokenPlacement,
+    placement_trajectory,
     validate_routed_circuit,
+    validate_swap_solution,
 )
 
 from conftest import brute_min_depth, random_connected_graph
@@ -151,3 +157,101 @@ def test_search_and_highs_agree_on_extra_layers(monkeypatch, inst):
     assert searched.extra_layers == solved.extra_layers
     assert searched.load_bound <= searched.extra_layers
     assert searched.circuit.depth == solved.circuit.depth
+
+
+def _snake_transposition(rows: int, cols: int) -> tuple[TmpInstance, SwapSolution]:
+    """grid rows x cols / K_n at the n-step odd-even transposition sort along
+    the snake path: every pair of tokens meets on a path edge."""
+    n = rows * cols
+    snake = [r * cols + (c if r % 2 == 0 else cols - 1 - c) for r in range(rows) for c in range(cols)]
+    steps = tuple(
+        tuple(tuple(sorted((snake[i], snake[i + 1]))) for i in range(s % 2, n - 1, 2))
+        for s in range(n)
+    )
+    return (TmpInstance(grid_graph(rows, cols), complete_graph(n)),
+            SwapSolution(TokenPlacement.identity(n), steps))
+
+
+def test_search_budget_on_grid4x4_snake():
+    # the load bound 15 is one short: the search spends its whole budget
+    # failing to rule it out, and from 16 fills in each gate once
+    inst, sol = _snake_transposition(4, 4)
+    ctx = compute_windows(inst, sol)
+    assert load_bound(ctx) == 15
+    assert search_assignment(ctx, 15, scheduler.SEARCH_BUDGET) == (None, scheduler.SEARCH_BUDGET)
+    assignment, work = search_assignment(ctx, 16, scheduler.SEARCH_BUDGET)
+    assert work == len(assignment) == 120
+    circuit = assemble_circuit(ctx, assignment)
+    assert circuit.depth == 16 + 16
+    assert validate_routed_circuit(inst, circuit).valid
+
+
+@pytest.mark.parametrize("sol", [
+    SwapSolution(TokenPlacement.identity(5), ()),
+    SwapSolution(TokenPlacement.identity(4), (((0, 1),), ((0, 1), (1, 2)))),
+    SwapSolution(TokenPlacement.identity(4), ((), ((0, 2),))),
+    SwapSolution(TokenPlacement.identity(4), (((2, 3),),)),
+], ids=["wrong-size", "not-a-matching", "non-hardware-edge", "uncovered-gate"])
+def test_compute_windows_rejects_with_the_validator_message(sol):
+    inst = TmpInstance(path_graph(4), Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    check = validate_swap_solution(inst, sol)
+    assert not check.valid
+    with pytest.raises(ValueError) as err:
+        compute_windows(inst, sol)
+    assert str(err.value) == "swap solution invalid: " + "; ".join(check.problems)
+
+
+@pytest.mark.parametrize("inst, pinned", [
+    (TmpInstance(path_graph(6), star_graph(6)), (4, 4, 5, 7)),
+    (generate_instance("grid3x3", 0.3, 5), (5, 5, 11, 6)),
+], ids=["path6-star6", "grid3x3-d0.3-s5"])
+def test_schedule_pinned_on_pipeline_witnesses(inst, pinned):
+    # (extra layers, load bound, work, depth) of the schedule route() certifies
+    res = route(inst)
+    out = res.schedule
+    assert out.method == "search"
+    assert (out.extra_layers, out.load_bound, out.work, res.routed_circuit.depth) == pinned
+
+
+def _random_solution(n: int, rng: random.Random) -> tuple[TmpInstance, SwapSolution]:
+    """A random hardware graph, start and matchings on n nodes, with a random
+    subset of the token pairs the trajectory brings together as gates."""
+    h = random_connected_graph(n, rng)
+    start = list(range(n))
+    rng.shuffle(start)
+    steps = []
+    for _ in range(rng.randint(0, 3)):
+        used: set[int] = set()
+        m = []
+        for e in rng.sample(h.edges, len(h.edges)):
+            if rng.random() < 0.5 and not used & set(e):
+                used.update(e)
+                m.append(e)
+        steps.append(tuple(m))
+    sol = SwapSolution(TokenPlacement(tuple(start)), tuple(steps))
+    met = set()
+    for f in placement_trajectory(sol):
+        for u, v in h.edges:
+            met.add(tuple(sorted((f.token_at[u], f.token_at[v]))))
+    gates = rng.sample(sorted(met), rng.randint(1, len(met)))
+    return TmpInstance(h, Graph(n, gates)), sol
+
+
+def test_backtracking_search_matches_brute_force():
+    # solutions whose search backtracks (more placements than gates), on
+    # 4-5 nodes, where enumerating every assignment stays small; the
+    # placements each search made pin its choice and trial order
+    rng = random.Random(11)
+    works = []
+    while len(works) < 10:
+        inst, sol = _random_solution(rng.randint(4, 5), rng)
+        ctx = compute_windows(inst, sol)
+        if prod(len(ctx.slots(g)) for g in ctx.windows) > 50_000:
+            continue
+        out = schedule_circuit(inst, sol)
+        if out.work <= len(ctx.windows):
+            continue
+        assert out.method == "search"
+        assert out.circuit.depth == brute_min_depth(inst, sol), (inst, sol)
+        works.append(out.work)
+    assert works == [17, 10, 3, 9, 3, 11, 10, 8, 11, 25]
