@@ -18,6 +18,7 @@ from commroute.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     star_graph,
 )
@@ -37,7 +38,7 @@ from commroute.polytope import (
     hardware_to_bipartite,
     verify_integer_hull,
 )
-from commroute.scheduler import schedule_circuit
+from commroute.scheduler import build_schedule_model, compute_windows, schedule_circuit
 from commroute.solutions import (
     SwapSolution,
     TmpInstance,
@@ -276,6 +277,18 @@ def test_criterion_10_determinism():
         "cycle4_complete4_steps2_swap_step.lp": build_swap_step_model(
             TmpInstance(cycle_graph(4), complete_graph(4)), steps=2
         ),
+        # the schedule's integer program at route()'s path6 / star6 witness
+        # and at the odd-even transposition sort along grid2x3's snake path
+        "path6_star6_witness_schedule.lp": build_schedule_model(compute_windows(
+            TmpInstance(path_graph(6), star_graph(6)),
+            SwapSolution(TokenPlacement((2, 1, 0, 3, 4, 5)),
+                         (((0, 1),), ((2, 3),), ((3, 4),))),
+        )),
+        "grid2x3_complete6_snake_schedule.lp": build_schedule_model(compute_windows(
+            TmpInstance(grid_graph(2, 3), complete_graph(6)),
+            SwapSolution(TokenPlacement.identity(6),
+                         (((0, 1), (2, 5), (3, 4)), ((1, 2), (4, 5))) * 3),
+        )),
     }
     for name, model in golden.items():
         assert model.lp_string() == (GOLDEN / name).read_text(), name
