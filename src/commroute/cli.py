@@ -152,6 +152,8 @@ def cmd_schedule(args) -> int:
         "extra_layers": outcome.extra_layers,
         "depth": outcome.circuit.depth,
         "method": outcome.method,
+        "load_bound": outcome.load_bound,
+        "work": outcome.work,
     }, args.out)
     return EXIT_OK
 

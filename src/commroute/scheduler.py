@@ -21,10 +21,10 @@ at t can be re-packed into at most budgets[t - 1] of them without using
 more.
 
 Load bound. Let d_p be the number of gates on token p and f_p the number
-of distinct steps in the union of their `swap_layer_steps`. Each layer
-runs at most one gate per token, so at most one gate of p runs in swap
-layer t, and only at a step t in that union: at most f_p gates of p ride
-swap layers. The other d_p - f_p or more run in extra layers, pairwise
+of distinct swap slots those gates may take. Each layer runs at most one
+gate per token, so at most one gate of p runs in swap layer t, and only
+when (t, 0) is one of those slots: at most f_p gates of p ride swap
+layers. The other d_p - f_p or more run in extra layers, pairwise
 distinct ones. Hence extra >= max_p (d_p - f_p) (`load_bound`).
 
 Search. For L = load bound, load bound + 1, ... a depth-first search
@@ -46,21 +46,24 @@ the first L that succeeds is the optimum: its assignment opens at most L
 layers and, every opened layer holding a gate, at least L, or a smaller L
 would have succeeded.
 
-Slot masks. The search numbers the slots: swap slot (t, 0) is bit t - 1,
-and the extra slots (t, b) follow in (t, b) order. Each gate has one mask
-of the slots it may take (`ScheduleContext.slots`) and each token a mask
-of the slots it runs in; `open_mask` holds the swap slots and the opened
+Slot table. `compute_windows` numbers the slots once, for every reader:
+`ScheduleContext.slots[s]` is slot s, the swap slots (t, 0) by step
+(bit t - 1) and then the extra slots (t, b) in (t, b) order, and
+`ScheduleContext.cand[g]` is the mask of the slots gate g may take, its
+swap slots and every extra slot at its executable steps. `load_bound`
+reads the swap bits of the masks, `build_schedule_model` and
+`extract_assignment` one variable per bit, and `assemble_circuit` the
+positions the table was read from. The search keeps a mask per token of
+the slots it runs in; `open_mask` holds the swap slots and the opened
 extra layers, and `next_mask` the next layer each step with room may
 open. A gate's free slots are its mask and the open slots (and, while
-fewer than L layers are open, the next ones), less the slots either token
-runs in: a few integer operations and one `bit_count()` per gate and
-placement, however many slots there are. The masks keep the search's
-order, and so its work count and its assignment: the gate placed is the
+fewer than L layers are open, the next ones), less the slots either
+token runs in: a few integer operations and one `bit_count()` per gate
+and placement, however many slots there are. The gate placed is the
 first unplaced one with the fewest free slots, and the scan stops at one
 with at most one; its open free slots are tried in ascending bit order,
-which is the swap slots by step and then the extra layers in (t, b)
-order, and after them its next-layer slots by step. A count of the gates
-in each slot tells when a layer is left empty, and closes it.
+and after them its next-layer slots by step. A count of the gates in
+each slot tells when a layer is left empty, and closes it.
 
 Fallback. The search counts the gate placements it tries and stops past
 SEARCH_BUDGET; then `build_schedule_model` states the same assignment
@@ -81,38 +84,29 @@ from .solutions import (
     RoutedCircuit,
     SwapSolution,
     TmpInstance,
-    TokenPlacement,
     validate_swap_solution,
 )
 
 # Gate placements the layer-assignment search may try per schedule
 # (`search_assignment`); past them HiGHS solves the integer program.
 # Counting placements rather than time makes a budgeted run repeat exactly.
-# The route bench instances need at most 23 (seeds 0-9, 11 and 100).
-# Grid3x3 / K9 needs 539 at a solution with mt = 4 steps (HiGHS 0.6 s) and
-# 2,646 at the 9-step odd-even transposition sort along a snake path
-# (0.008 s; HiGHS 0.18 s). Spending all 5,000 takes 0.02 s, about 4 us a
-# placement, on grid4x4 / K16 at its 16-step snake solution, which HiGHS
-# then solves in 1.8 s (2 cores, Python 3.11).
+# At the odd-even transposition sort along a snake path, grid3x3 / K9
+# needs 2,646, and grid4x4 / K16 spends all 5,000 failing to rule out its
+# load bound (both in test_scheduler.py).
 SEARCH_BUDGET = 5_000
-
-
-@dataclass(frozen=True)
-class GateWindows:
-    """Steps where one gate can run. Step t means "right before swap layer t";
-    the last step index is the artificial trailing position after all swaps."""
-
-    empty_layer_steps: tuple[int, ...]
-    swap_layer_steps: tuple[int, ...]
 
 
 @dataclass
 class ScheduleContext:
+    """A compacted solution's slot table (module docstring), its per-step
+    positions and its extra-layer budgets."""
+
     instance: TmpInstance
     solution: SwapSolution  # compacted: no empty matchings
-    placements: list[TokenPlacement]  # length = steps + 1
-    windows: dict[int, GateWindows]  # gate index -> windows
+    positions: list[tuple[int, ...]]  # per step, token -> node; length = steps + 1
     budgets: list[int]  # extra-layer budget per step, length = steps + 1
+    slots: list[tuple[int, int]]  # slot s -> (t, b)
+    cand: list[int]  # per gate, the mask of the slots it may take
 
     @property
     def num_steps(self) -> int:
@@ -122,32 +116,27 @@ class ScheduleContext:
     def gates(self) -> list[Edge]:
         return list(self.instance.connections)
 
-    def slots(self, g: int) -> list[tuple[int, int]]:
-        """Every slot gate g may take: (t, 0) at each of its swap steps, then
-        (t, b) for b = 1 .. budget at each of its empty steps."""
-        w = self.windows[g]
-        out = [(t, 0) for t in w.swap_layer_steps]
-        out += [(t, b) for t in w.empty_layer_steps for b in range(1, self.budgets[t - 1] + 1)]
-        return out
-
 
 def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
-    """Executable steps per gate, plus the per-step extra-layer budgets.
+    """The schedule's slot table: the slots, each gate's mask of the slots
+    it may take, and the per-step extra-layer budgets.
 
     The budget before each swap layer is one more than the max degree of
     the graph of gates executable there, which always suffices to host
-    them all. An invalid swap solution raises ValueError, so every gate
-    has at least one executable step.
+    them all. A gate may take swap slot (t, 0) where its tokens sit on a
+    hardware edge that step t does not swap, and every extra slot at each
+    step where they sit on a hardware edge. An invalid swap solution
+    raises ValueError, so every gate has at least one slot.
 
     One pass builds the trajectory of the compacted solution and checks
     its structure: the placement size, that each step is a matching, and
     that each swap is a hardware edge. Coverage is then read from the
-    windows: a gate's executable steps are exactly the placements of the
+    masks: a gate's executable steps are exactly the placements of the
     trajectory that put its tokens on a hardware edge, and the compacted
     trajectory holds every placement the full one does, so a gate with no
-    executable step is exactly a connection `validate_swap_solution`
-    finds uncovered. Only a rejected solution calls the validator, to
-    word the error.
+    slot is exactly a connection `validate_swap_solution` finds
+    uncovered. Only a rejected solution calls the validator, to word the
+    error.
     """
     compact = sol.compacted()
     edge_set = inst.hardware.edge_set
@@ -171,30 +160,32 @@ def compute_windows(inst: TmpInstance, sol: SwapSolution) -> ScheduleContext:
             trajectory.append(tuple(pos))
     k = len(compact.matchings)
     gates = inst.connections
-    empty_steps: list[list[int]] = [[] for _ in gates]
-    swap_steps: list[list[int]] = [[] for _ in gates]
+    slots = [(t, 0) for t in range(1, k + 1)]
+    cand = [0] * len(gates)
     budgets = []
     for t, pos in enumerate(trajectory if valid else (), start=1):
         matched = matched_at[t - 1] if t <= k else None
         degree = [0] * n
+        executable = []
         for g, (p, q) in enumerate(gates):
             a, b = pos[p], pos[q]
             if (a, b) not in edge_set and (b, a) not in edge_set:
                 continue
-            empty_steps[g].append(t)
+            executable.append(g)
             degree[a] += 1
             degree[b] += 1
             if matched is not None and a not in matched and b not in matched:
-                swap_steps[g].append(t)
-        budgets.append(max(degree, default=0) + 1)
-    if not valid or not all(empty_steps):
+                cand[g] |= 1 << t - 1
+        room = max(degree, default=0) + 1
+        extra = (1 << room) - 1 << len(slots)  # the extra slots (t, 1 .. room)
+        for g in executable:
+            cand[g] |= extra
+        budgets.append(room)
+        slots += [(t, b) for b in range(1, room + 1)]
+    if not valid or not all(cand):
         problems = validate_swap_solution(inst, sol).problems
         raise ValueError(f"swap solution invalid: {'; '.join(problems)}")
-    windows = {
-        g: GateWindows(tuple(empty_steps[g]), tuple(swap_steps[g])) for g in range(len(gates))
-    }
-    placements = [TokenPlacement(pos) for pos in trajectory]
-    return ScheduleContext(inst, compact, placements, windows, budgets)
+    return ScheduleContext(inst, compact, trajectory, budgets, slots, cand)
 
 
 def _u(t: int, b: int) -> str:
@@ -213,56 +204,42 @@ def _gates_of_token(gates: list[Edge]) -> dict[int, list[int]]:
     return out
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_schedule_model(ctx: ScheduleContext) -> MilpModel:
     """Layer-assignment program: every gate exactly once, one gate per token
     per layer, extra layers counted only when used and filled front-first."""
     k = ctx.num_steps
-    model = MilpModel(name=f"schedule_k{k}_g{len(ctx.windows)}")
-    for t in range(1, k + 2):
-        for b in range(1, ctx.budgets[t - 1] + 1):
-            model.add_var(_u(t, b))
-    for g in sorted(ctx.windows):
-        for t, b in ctx.slots(g):
-            model.add_var(_a(g, t, b))
-    for g in sorted(ctx.windows):
-        model.add_constr(f"gate_once_g{g}", [(_a(g, t, b), 1.0) for t, b in ctx.slots(g)],
-                         "==", 1.0)
+    slots = ctx.slots
+    model = MilpModel(name=f"schedule_k{k}_g{len(ctx.cand)}")
+    for t, b in slots[k:]:
+        model.add_var(_u(t, b))
+    for g, cand in enumerate(ctx.cand):
+        names = [_a(g, *slots[s]) for s in _bits(cand)]
+        for name in names:
+            model.add_var(name)
+        model.add_constr(f"gate_once_g{g}", [(name, 1.0) for name in names], "==", 1.0)
     tokens_of = _gates_of_token(ctx.gates)
-    for t in range(1, k + 2):
-        for b in range(1, ctx.budgets[t - 1] + 1):
-            for r in sorted(tokens_of):
-                terms = [
-                    (_a(g, t, b), 1.0)
-                    for g in tokens_of[r]
-                    if t in ctx.windows[g].empty_layer_steps
-                ]
-                if terms:
-                    model.add_constr(
-                        f"token_cap_t{t}_b{b}_p{r}",
-                        terms + [(_u(t, b), -1.0)], "<=", 0.0,
-                    )
-    for t in range(1, k + 1):
+    for s in [*range(k, len(slots)), *range(k)]:  # the extra slots' rows, then the swap slots'
+        t, b = slots[s]
         for r in sorted(tokens_of):
-            terms = [
-                (_a(g, t, 0), 1.0)
-                for g in tokens_of[r]
-                if t in ctx.windows[g].swap_layer_steps
-            ]
-            if terms:
+            terms = [(_a(g, t, b), 1.0) for g in tokens_of[r] if ctx.cand[g] >> s & 1]
+            if terms and b:
+                model.add_constr(f"token_cap_t{t}_b{b}_p{r}", terms + [(_u(t, b), -1.0)],
+                                 "<=", 0.0)
+            elif terms:
                 model.add_constr(f"swap_slot_cap_t{t}_p{r}", terms, "<=", 1.0)
-    for t in range(1, k + 1):
-        for b in range(1, ctx.budgets[t - 1]):
-            model.add_constr(
-                f"layers_ordered_t{t}_b{b}",
-                [(_u(t, b + 1), 1.0), (_u(t, b), -1.0)], "<=", 0.0,
-            )
-    model.set_objective(
-        [
-            (_u(t, b), 1.0)
-            for t in range(1, k + 2)
-            for b in range(1, ctx.budgets[t - 1] + 1)
-        ]
-    )
+    for t, b in slots[k:]:
+        if b > 1 and t <= k:
+            model.add_constr(f"layers_ordered_t{t}_b{b - 1}",
+                             [(_u(t, b), 1.0), (_u(t, b - 1), -1.0)], "<=", 0.0)
+    model.set_objective([(_u(t, b), 1.0) for t, b in slots[k:]])
     return model
 
 
@@ -271,8 +248,8 @@ Assignment = dict[int, tuple[int, int]]  # gate -> (step t, layer b; b=0 is the 
 
 def extract_assignment(ctx: ScheduleContext, values: dict[str, float]) -> Assignment:
     out: Assignment = {}
-    for g in sorted(ctx.windows):
-        hits = [(t, b) for t, b in ctx.slots(g) if values[_a(g, t, b)] > 0.5]
+    for g, cand in enumerate(ctx.cand):
+        hits = [ctx.slots[s] for s in _bits(cand) if values[_a(g, *ctx.slots[s])] > 0.5]
         if len(hits) != 1:
             raise ValueError(f"gate {g} scheduled {len(hits)} times")
         out[g] = hits[0]
@@ -282,16 +259,14 @@ def extract_assignment(ctx: ScheduleContext, values: dict[str, float]) -> Assign
 def load_bound(ctx: ScheduleContext) -> int:
     """max over tokens p of d_p - f_p, a lower bound on the extra layers
     (module docstring)."""
+    swap_bits = (1 << ctx.num_steps) - 1
     gates_on = [0] * ctx.instance.num_nodes  # d_p per token p
-    steps_of = [0] * ctx.instance.num_nodes  # per token, the steps of f_p as a bitmask
-    for g, (p, q) in enumerate(ctx.gates):
-        steps = 0
-        for t in ctx.windows[g].swap_layer_steps:
-            steps |= 1 << t
+    steps_of = [0] * ctx.instance.num_nodes  # per token, the swap slots of f_p
+    for (p, q), cand in zip(ctx.gates, ctx.cand):
         gates_on[p] += 1
         gates_on[q] += 1
-        steps_of[p] |= steps
-        steps_of[q] |= steps
+        steps_of[p] |= cand & swap_bits
+        steps_of[q] |= cand & swap_bits
     return max((d - f.bit_count() for d, f in zip(gates_on, steps_of) if d), default=0)
 
 
@@ -306,30 +281,15 @@ def search_assignment(
     """
     k = ctx.num_steps
     budgets = ctx.budgets
-    # slot s is bit s: the swap slots (t, 0) first, then the extra slots in
-    # (t, b) order; first[t - 1] is the bit of (t, 1), and last has the bit
-    # of each step's last extra slot
-    first = []
-    last = 0
-    size = k
-    start = 0  # (t, 1) at each step with room
-    for room in budgets:
-        first.append(size)
-        if room:
-            start |= 1 << size
-            last |= 1 << size + room - 1
-        size += room
-    rows = []  # per gate: (gate, its candidate slots, its tokens)
-    for g, (p, q) in enumerate(ctx.gates):
-        w = ctx.windows[g]
-        cand = 0
-        for t in w.swap_layer_steps:
-            cand |= 1 << t - 1
-        for t in w.empty_layer_steps:
-            cand |= (1 << budgets[t - 1]) - 1 << first[t - 1]
-        rows.append((g, cand, p, q))
+    start = last = 0  # each step's first and last extra slot
+    for s, (t, b) in enumerate(ctx.slots):
+        if b == 1:
+            start |= 1 << s
+        if b == budgets[t - 1]:
+            last |= 1 << s
+    rows = [(g, cand, p, q) for g, (cand, (p, q)) in enumerate(zip(ctx.cand, ctx.gates))]
     busy = [0] * ctx.instance.num_nodes  # per token, the slots it runs in
-    held = [0] * size  # per slot, the gates placed in it
+    held = [0] * len(ctx.slots)  # per slot, the gates placed in it
     work = 0
 
     for limit in range(bound, sum(budgets) + 1):
@@ -401,10 +361,7 @@ def search_assignment(
             else:
                 break  # every branch failed: no assignment within L
         else:  # every gate placed
-            slot_at = [(t, 0) for t in range(1, k + 1)]
-            for t, room in enumerate(budgets, start=1):
-                slot_at += [(t, b) for b in range(1, room + 1)]
-            return {row[0]: slot_at[s] for row, _, _, s in stack}, work
+            return {row[0]: ctx.slots[s] for row, _, _, s in stack}, work
     raise RuntimeError("no gate assignment fits the extra-layer budgets")
 
 
@@ -415,22 +372,17 @@ def assemble_circuit(ctx: ScheduleContext, assignment: Assignment) -> RoutedCirc
     gate uses are dropped. Gate edges are taken under the placement in
     force at their step.
     """
-    k = ctx.num_steps
     gates = ctx.gates
-    edges_at: dict[tuple[int, int], list[Edge]] = {}  # slot -> its gates' edges
+    edges_at: dict[tuple[int, int], list[Edge]] = {slot: [] for slot in ctx.slots[:ctx.num_steps]}
     for g, (t, b) in assignment.items():
         p, q = gates[g]
-        pos = ctx.placements[t - 1].pos
+        pos = ctx.positions[t - 1]
         u, v = pos[p], pos[q]
         edges_at.setdefault((t, b), []).append((u, v) if u < v else (v, u))
-    layers: list[CircuitLayer] = []
-    for t in range(1, k + 2):
-        for b in range(1, ctx.budgets[t - 1] + 1):
-            if (t, b) in edges_at:
-                layers.append(CircuitLayer((), tuple(sorted(edges_at[t, b]))))
-        if t <= k:
-            gate_edges = tuple(sorted(edges_at.get((t, 0), ())))
-            layers.append(CircuitLayer(ctx.solution.matchings[t - 1], gate_edges))
+    layers = []
+    for t, b in sorted(edges_at, key=lambda slot: (slot[0], not slot[1], slot[1])):
+        swaps = () if b else ctx.solution.matchings[t - 1]
+        layers.append(CircuitLayer(swaps, tuple(sorted(edges_at[t, b]))))
     return RoutedCircuit(ctx.solution.initial, tuple(layers))
 
 
@@ -452,7 +404,7 @@ def schedule_circuit(
     sol: SwapSolution,
     time_limit: float | None = None,
 ) -> ScheduleOutcome:
-    """Full scheduling pass: windows, layer-assignment search, assemble.
+    """Full scheduling pass: slot table, layer-assignment search, assemble.
 
     The search certifies the fewest extra layers within SEARCH_BUDGET gate
     placements; past it the integer program is solved with HiGHS instead,
@@ -462,7 +414,7 @@ def schedule_circuit(
     """
     check_time_limit(time_limit)
     ctx = compute_windows(inst, sol)
-    if not ctx.windows:
+    if not ctx.cand:
         return ScheduleOutcome(assemble_circuit(ctx, {}), 0, "direct")
     bound = load_bound(ctx)
     assignment, work = search_assignment(ctx, bound, SEARCH_BUDGET)

@@ -177,19 +177,6 @@ class SwapValidation:
         }
 
 
-def covered_connections(inst: TmpInstance, placements: list[TokenPlacement]) -> set[Edge]:
-    """Connections realized on some hardware edge by at least one placement."""
-    conns = inst.algorithm.edge_set
-    covered: set[Edge] = set()
-    for f in placements:
-        tok = f.token_at
-        for u, v in inst.hardware.edges:
-            pair = _normalize_edge(tok[u], tok[v])
-            if pair in conns:
-                covered.add(pair)
-    return covered
-
-
 def validate_swap_solution(inst: TmpInstance, solution: SwapSolution) -> SwapValidation:
     """Structural and coverage diagnostics; never raises on a bad solution.
 

@@ -13,7 +13,7 @@ import pytest
 from commroute.graphs import Graph, all_matchings, path_graph, star_graph
 from commroute.milp import solve_min_swaps_at
 from commroute.scheduler import compute_windows
-from commroute.solutions import TmpInstance
+from commroute.solutions import TmpInstance, placement_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +173,28 @@ def brute_min_depth(inst, sol) -> int:
     """Minimal depth over all gate-to-layer assignments, by enumeration.
 
     Layers are the swap layers plus up to budget[t] empty layers before
-    step t; a layer may not touch a token twice.
+    step t; a layer may not touch a token twice. A gate may take swap
+    layer t where its tokens sit on a hardware edge that step t does not
+    swap, and the empty layers before every step where they sit on a
+    hardware edge. Only the budgets come from the scheduler.
     """
-    ctx = compute_windows(inst, sol)
-    k = ctx.num_steps
+    budgets = compute_windows(inst, sol).budgets
+    compact = sol.compacted()
+    k = len(compact.matchings)
+    trajectory = placement_trajectory(compact)
+    gates = list(inst.connections)
     slot_lists = []
-    for gi in sorted(ctx.windows):
-        w = ctx.windows[gi]
-        slots = [(t, 0) for t in w.swap_layer_steps]
-        slots += [(t, b) for t in w.empty_layer_steps
-                  for b in range(1, ctx.budgets[t - 1] + 1)]
+    for p, q in gates:
+        slots = []
+        for t, f in enumerate(trajectory, start=1):
+            u, v = f.pos[p], f.pos[q]
+            if (min(u, v), max(u, v)) not in inst.hardware.edge_set:
+                continue
+            swapped = {w for e in compact.matchings[t - 1] for w in e} if t <= k else set()
+            if t <= k and u not in swapped and v not in swapped:
+                slots.append((t, 0))
+            slots += [(t, b) for b in range(1, budgets[t - 1] + 1)]
         slot_lists.append(slots)
-    gates = ctx.gates
     best = None
     for combo in itertools.product(*slot_lists):
         used: dict[tuple[int, int], set[int]] = {}

@@ -8,7 +8,6 @@ from commroute.solutions import (
     CircuitValidation,
     SwapValidation,
     check_matching,
-    covered_connections,
     placement_trajectory,
 )
 
@@ -32,8 +31,13 @@ def reference_validate_swap_solution(inst, solution) -> SwapValidation:
                 problems.append(f"step {t}: swap {e} is not a hardware edge")
     if problems:
         return SwapValidation(False, solution.steps, solution.swaps, problems=problems)
-    placements = placement_trajectory(solution)
-    covered = covered_connections(inst, placements)
+    covered = set()
+    for f in placement_trajectory(solution):
+        tok = f.token_at
+        for u, v in inst.hardware.edges:
+            pair = _normalize_edge(tok[u], tok[v])
+            if pair in inst.algorithm.edge_set:
+                covered.add(pair)
     uncovered = sorted(set(inst.connections) - covered)
     if uncovered:
         problems.append(f"{len(uncovered)} connection(s) never adjacent")

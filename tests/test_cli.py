@@ -143,7 +143,10 @@ def test_schedule(capsys, tmp_path, tiny_instance):
     sol.write_text(json.dumps({"initial": [0, 1, 2], "matchings": [[[0, 1]]]}))
     code, payload, _ = run(capsys, "schedule", tiny_instance, str(sol))
     assert code == 0
-    assert payload["depth"] >= 1
+    # the triangle's three gates need three layers, and none rides the swap
+    # layer: the load bound 2 is one short, and the search makes 5 placements
+    assert (payload["depth"], payload["extra_layers"], payload["method"]) == (4, 3, "search")
+    assert (payload["load_bound"], payload["work"]) == (2, 5)
 
 
 def test_heuristic(capsys, tmp_path):

@@ -32,8 +32,8 @@ def test_windows_zero_swap_case():
     sol = SwapSolution(TokenPlacement.identity(4), ())
     ctx = compute_windows(inst, sol)
     assert ctx.num_steps == 0
-    assert all(w.empty_layer_steps == (1,) for w in ctx.windows.values())
-    assert all(w.swap_layer_steps == () for w in ctx.windows.values())
+    assert ctx.slots == [(1, 1), (1, 2), (1, 3)]
+    assert ctx.cand == [0b111] * 3  # no swap slot, and every extra slot of step 1
     assert ctx.budgets == [3]  # middle node degree 2 in the executable graph, plus one
 
 
@@ -186,6 +186,16 @@ def test_search_budget_on_grid4x4_snake():
     assert validate_routed_circuit(inst, circuit).valid
 
 
+def test_search_backtracks_on_grid3x3_snake():
+    # the load bound 8 is one short: ruling it out takes 2,610 of the 2,646
+    # placements, within the search's budget, and 9 is filled in 36
+    inst, sol = _snake_transposition(3, 3)
+    out = schedule_circuit(inst, sol)
+    assert out.method == "search"
+    assert (out.extra_layers, out.load_bound, out.work, out.circuit.depth) == (9, 8, 2646, 18)
+    assert validate_routed_circuit(inst, out.circuit).valid
+
+
 @pytest.mark.parametrize("sol", [
     SwapSolution(TokenPlacement.identity(5), ()),
     SwapSolution(TokenPlacement.identity(4), (((0, 1),), ((0, 1), (1, 2)))),
@@ -246,10 +256,10 @@ def test_backtracking_search_matches_brute_force():
     while len(works) < 10:
         inst, sol = _random_solution(rng.randint(4, 5), rng)
         ctx = compute_windows(inst, sol)
-        if prod(len(ctx.slots(g)) for g in ctx.windows) > 50_000:
+        if prod(cand.bit_count() for cand in ctx.cand) > 50_000:
             continue
         out = schedule_circuit(inst, sol)
-        if out.work <= len(ctx.windows):
+        if out.work <= len(ctx.cand):
             continue
         assert out.method == "search"
         assert out.circuit.depth == brute_min_depth(inst, sol), (inst, sol)
