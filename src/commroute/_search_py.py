@@ -87,12 +87,15 @@ input ends with an exhausted frontier.
 
 Partial expansion. A* expands a state one swap-count class at a time
 (StepTables.classes, the matchings grouped by size in increasing order,
-built once per hardware graph). A state that fails its goal test below
+built once per hardware graph; at E(H), StepTables.roots, as the section
+on symmetry below shows). A state that fails its goal test below
 max_steps pushes, instead of its successors, one cursor keyed
 g + max(k, h), k the size of its first class. Popping the cursor
 generates that class's successors, one unit of work each, admits each
 and pushes those below max_steps with their own f, then re-pushes the
-cursor keyed by the next class's size. By consistency a successor through k swaps has
+cursor keyed by the next class's size; a cursor that would be the next
+pop anyway, no heap entry smaller, generates its class at once instead
+of being pushed. By consistency a successor through k swaps has
 f' = g + k + h' >= g + max(k, h), so a cursor's key is at most the f of
 every successor it has yet to generate, which is all that the arguments
 above and below ask of a heap key. A class of k swaps whose successors
@@ -113,7 +116,44 @@ same f. A cursor carries its state's (steps, swaps), and is skipped when
 they have left the mask's list, by the argument for stale entries: the
 displacing entry, with no more steps and no more swaps, reaches each of
 the cursor's successor masks through its own cursors at no more swaps
-and no more steps.
+and no more steps. A cursor generated at once needs no such check: its
+state was popped or expanded just before, and a successor, one step
+further on, never displaces it.
+
+Symmetry at the first step. An automorphism pi of H is a node
+permutation with pi(E(H)) = E(H); it maps a matching m to the matching
+pi(m) of as many edges, and a mask M to pi(M), the images of its pairs.
+Since sigma_pi(m) o pi = pi o sigma_m, a step with pi(m) from pi(M)
+reaches pi(sigma_m(M) | E(H)): from pi(M), the sequence pi(m1) .. pi(mt)
+reaches pi(M_s) at every step s, with the same steps and the same swaps.
+pi is an isomorphism from ([n], M) onto ([n], pi(M)), so both masks have
+as many pairs and the same goal answer. A state whose mask is E(H) is its
+own image: from it, m1 .. mt and pi(m1) .. pi(mt) cost the same and meet
+the goal at the same step, if at all. So the state whose mask is E(H)
+expands StepTables.roots, one matching per orbit of a group of
+automorphisms (the orbit's lowest index; any subgroup of Aut(H) will do,
+it only merges fewer orbits), and every other state expands
+StepTables.classes. Every sequence from E(H) has an image, at equal cost,
+that starts with a root, and that image lies in the searched space: only
+its first step was restricted. So the optimum, and every answer below,
+is unchanged; where an argument has one state follow another's
+continuation through E(H), it follows the continuation's image. The only
+start RelativeFrameSearch gives the kernel is E(H), and no later state
+has that mask at all: breadth-first has seen it, and A*'s start entry
+(0, 0) dominates any return to it. In a budgeted run the lower bounds
+hold for the same reason: every mask that the unreduced breadth-first
+search reaches at depth d has an image that this one reaches at depth d
+or less, with the same goal answer, and A* keeps an open state on an
+optimal sequence that starts with a root.
+
+Layer order. Breadth-first sorts each new layer by its masks' pair
+counts, most first (stably), before expanding it. A layer is the set of
+masks one step from the previous layer that no earlier layer holds,
+whatever order the previous one was expanded in, so the depths and a
+budgeted run's bound are those of any order; only which masks of a layer
+are generated and tested before its first hit changes. Masks with more
+pairs are the ones closest to holding the gate graph, so their
+successors reach a goal mask sooner.
 
 Budget. Both searches take an optional budget, a cap on their work: the
 successors they generate plus the work the goal tests report. Work
@@ -161,21 +201,27 @@ def _path(link) -> tuple[int, ...]:
 
 class StepTables(NamedTuple):
     """The E(H) mask `base`; per matching, the (shift, low mask) delta
-    swaps `deltas` that apply sigma_m to a node-pair mask; and `classes`,
-    the matchings grouped by swap count, one (count, matching indices) per
-    count in increasing order, the only order A* expands them in. Built
-    once per hardware graph and shared, read-only, by every search on it;
-    a search over fewer classes replaces `classes` alone."""
+    swaps `deltas` that apply sigma_m to a node-pair mask; `classes`, the
+    matchings grouped by swap count, one (count, matching indices) per
+    count in increasing order, the only order A* expands them in; and
+    `roots`, the same classes restricted to the lowest matching index of
+    each orbit under a group of hardware automorphisms, which the state
+    whose mask is E(H) expands in their place. Built once per hardware
+    graph and shared, read-only, by every search on it; a search over
+    fewer classes replaces `classes` and `roots` alike."""
 
     base: int
     deltas: tuple[tuple[tuple[int, int], ...], ...]
     classes: tuple[tuple[int, tuple[int, ...]], ...]
+    roots: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
+def step_tables(n, matchings, hw_edges, pair_bit, orbit) -> StepTables:
     """The StepTables of the matchings, each a sequence of (u, v) edges
     drawn from the hardware edges hw_edges; pair_bit maps u * n + v to the
-    bit of the node pair {u, v}."""
+    bit of the node pair {u, v}, and orbit[mi] is the lowest matching
+    index of matching mi's orbit under a group of automorphisms of the
+    hardware (mi itself for every matching when the group is trivial)."""
     base = 0
     per_edge: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for u, v in hw_edges:
@@ -190,7 +236,8 @@ def step_tables(n, matchings, hw_edges, pair_bit) -> StepTables:
     sizes = [len(m) for m in matchings]
     classes = tuple((k, tuple(mi for mi, size in enumerate(sizes) if size == k))
                     for k in sorted(set(sizes)))
-    return StepTables(base, deltas, classes)
+    roots = tuple((k, tuple(mi for mi in members if orbit[mi] == mi)) for k, members in classes)
+    return StepTables(base, deltas, classes, roots)
 
 
 def replay(tables, path) -> int:
@@ -214,6 +261,8 @@ def min_steps(tables, starts, reached, budget=inf):
     """
     work = 0
     base, steps = tables.base, tables.deltas
+    # the mask E(H) expands one matching per orbit
+    first = tuple(steps[mi] for _, members in tables.roots for mi in members)
     seen: set[int] = set()
     frontier: list[int] = []
     for mask in starts:
@@ -231,10 +280,11 @@ def min_steps(tables, starts, reached, budget=inf):
         depth += 1
         nxt: list[int] = []
         for mask in frontier:
-            if work + len(steps) > budget:
+            row = first if mask == base else steps
+            if work + len(row) > budget:
                 return Outcome(depth, False, work)
-            work += len(steps)
-            for swaps in steps:
+            work += len(row)
+            for swaps in row:
                 m2 = mask
                 for d, low in swaps:
                     t = ((m2 >> d) ^ m2) & low
@@ -251,6 +301,9 @@ def min_steps(tables, starts, reached, budget=inf):
                 if hit:
                     return Outcome(depth, True, work)
                 nxt.append(m2)
+        # most pairs first: the layer is the same in any order, and the
+        # masks nearest the goal reach it soonest
+        nxt.sort(key=int.bit_count, reverse=True)
         frontier = nxt
     return Outcome(-1, True, work)
 
@@ -267,15 +320,21 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
     a step is one swap, and swap_capacity bounds it as well.
     """
     work = 0
-    base, steps, classes = tables
+    base, steps, classes, roots = tables
     pareto: dict[int, list[tuple[int, int]]] = {}
 
     def admit(mask: int, s: int, g: int) -> bool:
-        entries = pareto.setdefault(mask, [])
+        entries = pareto.get(mask)
+        if entries is None:
+            pareto[mask] = [(s, g)]
+            return True
+        dominated = False
         for s2, g2 in entries:
             if s2 <= s and g2 <= g:
                 return False
-        entries[:] = [(s2, g2) for s2, g2 in entries if not (s <= s2 and g <= g2)]
+            dominated = dominated or (s <= s2 and g <= g2)
+        if dominated:
+            entries[:] = [(s2, g2) for s2, g2 in entries if not (s <= s2 and g <= g2)]
         entries.append((s, g))
         return True
 
@@ -298,12 +357,18 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
             counter += 1
     cursor = None
     while heap or cursor:
-        # pushing the cursor and popping the smallest entry in one call
-        f, g, s, _, mask, link, ci = (heapq.heappop(heap) if cursor is None
-                                      else heapq.heappushpop(heap, cursor))
-        cursor = None
-        if (s, g) not in pareto[mask]:
-            continue  # stale: its dominating entry has popped already
+        if cursor is not None and not (heap and heap[0] < cursor):
+            # the cursor pops next: its state was just popped or expanded,
+            # and no successor displaces it, so it is not stale
+            f, g, s, _, mask, link, ci = cursor
+            cursor = None
+        else:
+            # the smallest entry, pushing the cursor in its place
+            f, g, s, _, mask, link, ci = (heapq.heappop(heap) if cursor is None
+                                          else heapq.heapreplace(heap, cursor))
+            cursor = None
+            if (s, g) not in pareto[mask]:
+                continue  # stale: its dominating entry has popped already
         limit = reach(max_steps - s - 1)  # what a successor's steps left can add
         if ci is None:
             hit, spent = reached(mask, budget - work)
@@ -320,7 +385,7 @@ def min_swaps_within(tables, starts, num_gates, reached, max_steps, swap_capacit
             while ci < len(classes) and missing - classes[ci][0] * swap_capacity > limit:
                 ci += 1
         else:
-            size, members = classes[ci]
+            size, members = (roots if mask == base else classes)[ci]
             if work + len(members) > budget:
                 return Outcome(f, False, work)
             work += len(members)

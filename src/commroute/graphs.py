@@ -254,22 +254,94 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return sorted(result)
 
 
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """A strong generating set of the automorphism group, for the base
+    0, 1, .., n - 1: each generator fixes nodes 0 .. k - 1 and maps k to
+    another node, for some k.
+
+    Levels run from k = n - 1 down to 0. At level k the generators found so
+    far all fix 0 .. k - 1; for each node v outside the orbit of k under
+    them, one automorphism that fixes 0 .. k - 1 and maps k to v is searched
+    for and, if one exists, added. So the orbit of k under the generators
+    of levels k and above is its orbit under the stabiliser G_k of
+    0 .. k - 1, and by induction from k = n - 1 those generators generate
+    G_k (|G_k| is that orbit's size times |G_k+1|); at k = 0 they generate
+    the group. There are at most n(n - 1) / 2 of them, where the group
+    itself can have n! elements.
+
+    The search extends the image node by node in base order, keeping each
+    node's distances to the nodes placed before it: an automorphism keeps
+    every distance, and a bijection that keeps them all keeps adjacency.
+    """
+    n = g.n
+    dist = g.distances
+    sig = [tuple(sorted(row)) for row in dist]
+    gens: list[tuple[int, ...]] = []
+    image = list(range(n))
+    used = [False] * n
+
+    def extend(u: int) -> bool:
+        # image[0 .. u - 1] is placed; find images for u .. n - 1
+        if u == n:
+            return True
+        row = dist[u]
+        for w in range(n):
+            if used[w] or sig[w] != sig[u]:
+                continue
+            if any(dist[w][image[x]] != row[x] for x in range(u)):
+                continue
+            image[u] = w
+            used[w] = True
+            if extend(u + 1):
+                return True
+            used[w] = False
+        return False
+
+    for k in range(n - 1, -1, -1):
+        orbit = {k}
+        for v in range(k + 1, n):
+            if v in orbit or sig[v] != sig[k]:
+                continue
+            used[:] = [x < k or x == v for x in range(n)]
+            image[:k] = range(k)
+            image[k] = v
+            if not extend(k + 1):
+                continue
+            gens.append(tuple(image))
+            frontier = list(orbit)
+            while frontier:  # the orbit of k under the generators so far
+                x = frontier.pop()
+                for perm in gens:
+                    if perm[x] not in orbit:
+                        orbit.add(perm[x])
+                        frontier.append(perm[x])
+    return gens
+
+
+def orbit_roots(size: int, perms) -> list[int]:
+    """Per item 0 .. size - 1, the lowest item of its orbit under the group
+    the permutations perms generate, each mapping item i to perm[i]: items
+    are taken in increasing order, and each one no earlier orbit holds
+    starts a new orbit, closed under every permutation."""
+    root = [-1] * size
+    for i in range(size):
+        if root[i] >= 0:
+            continue
+        root[i] = i
+        stack = [i]
+        while stack:
+            x = stack.pop()
+            for perm in perms:
+                y = perm[x]
+                if root[y] < 0:
+                    root[y] = i
+                    stack.append(y)
+    return root
+
+
 def automorphism_orbits(g: Graph) -> list[list[int]]:
     """Node orbits under the full automorphism group, each sorted, ordered by minimum."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in automorphisms(g):
-        for i in range(g.n):
-            ri, rj = find(i), find(perm[i])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
-    for i in range(g.n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(v) for _, v in sorted(groups.items())]
+    for i, root in enumerate(orbit_roots(g.n, automorphism_generators(g))):
+        groups.setdefault(root, []).append(i)
+    return [v for _, v in sorted(groups.items())]

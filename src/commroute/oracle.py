@@ -18,9 +18,10 @@ _search_py (a profiler or tracer) sees every search.
 What depends on the hardware alone is built once per hardware `Graph`
 and kept in a weak-key table (`_hardware_tables`): its matchings, the ends
 of each node-pair bit, the delta-swap step tables with the matchings
-grouped by swap count, and the two gain bounds. The oracle's three
-queries on one instance, and every later search on that device, share
-them. An entry lives as long as the caller's graph (or an equal one that
+grouped by swap count and, for the start state, one matching per orbit
+under the hardware's automorphisms, and the two gain bounds. The
+oracle's three queries on one instance, and every later search on that
+device, share them. An entry lives as long as the caller's graph (or an equal one that
 was first), and holds no reference to it. Only complete matching
 enumerations are kept, and a search charges the same work whether it
 finds its tables there or builds them, so a budgeted answer repeats to
@@ -42,7 +43,7 @@ from .bounds import (
     max_gain_per_step,
     max_gain_per_swap,
 )
-from .graphs import Graph, iter_matchings
+from .graphs import Graph, automorphism_generators, iter_matchings, orbit_roots
 from .graphs import automorphisms  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .solutions import (
     Matching,
@@ -73,7 +74,9 @@ class HardwareTables(NamedTuple):
     """What the searches need of one hardware graph, all of it read-only:
     every nonempty matching, the node-pair ends (a, 1 << b, b, 1 << a) of
     each pair bit, the StepTables of the matchings, whose first class holds
-    the one-edge matchings, and the two gain bounds."""
+    the one-edge matchings and whose `roots` keep, class by class, the
+    lowest-index matching of each orbit under Aut(H), and the two gain
+    bounds."""
 
     matchings: tuple[Matching, ...]
     ends: tuple[tuple[int, int, int, int], ...]
@@ -88,7 +91,9 @@ _hardware_tables: weakref.WeakKeyDictionary[Graph, HardwareTables] = weakref.Wea
 
 def _build_tables(hw: Graph, matchings: tuple[Matching, ...]) -> HardwareTables:
     """The HardwareTables of hw from the complete list of its nonempty
-    matchings. Nothing in them refers to hw, so they do not keep it alive."""
+    matchings. Nothing in them refers to hw, so they do not keep it alive.
+    Building them is charged no work beyond the enumeration, the orbit
+    roots included."""
     n = hw.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     pair_bit = [0] * (n * n)
@@ -97,9 +102,44 @@ def _build_tables(hw: Graph, matchings: tuple[Matching, ...]) -> HardwareTables:
         pair_bit[b * n + a] = bit
     return HardwareTables(
         matchings, tuple((a, 1 << b, b, 1 << a) for a, b in pairs),
-        _search_py.step_tables(n, matchings, hw.edges, pair_bit),
+        _search_py.step_tables(n, matchings, hw.edges, pair_bit,
+                               _matching_orbits(hw, matchings)),
         max_gain_per_swap(hw), max_gain_per_step(hw),
     )
+
+
+def _matching_orbits(hw: Graph, matchings: tuple[Matching, ...]) -> list[int]:
+    """Per matching, the lowest index of its orbit under Aut(hw).
+
+    Each generator (`automorphism_generators`) becomes a permutation of
+    the matchings: a matching is its prefix, the matching without its last
+    edge, plus that edge, so its image under the generator, as a bitmask
+    over the edge indices, is the prefix's image plus one bit, built in
+    order of size, and a dict from mask to matching reads it back."""
+    gens = automorphism_generators(hw)
+    count = len(matchings)
+    if not gens:
+        return list(range(count))
+    index = {e: i for i, e in enumerate(hw.edges)}
+    at = {m: mi for mi, m in enumerate(matchings)}
+    at[()] = count  # the empty matching, at the end of each image list
+    prefix = [at[m[:-1]] for m in matchings]
+    last = [index[m[-1]] for m in matchings]
+    order = sorted(range(count), key=lambda mi: len(matchings[mi]))
+
+    def images(bits: list[int]) -> list[int]:
+        # per matching, the mask of its edges' images bits[e]
+        image = [0] * (count + 1)
+        for mi in order:
+            image[mi] = image[prefix[mi]] | bits[last[mi]]
+        return image[:count]
+
+    where = {mask: mi for mi, mask in enumerate(images([1 << i for i in range(len(index))]))}
+    perms = []
+    for perm in gens:
+        bits = [1 << index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in hw.edges]
+        perms.append([where[mask] for mask in images(bits)])
+    return orbit_roots(count, perms)
 
 
 class RelativeFrameSearch:
@@ -107,12 +147,16 @@ class RelativeFrameSearch:
 
     A state is the set of node pairs whose tokens have met, a bitmask
     starting at the hardware edges; a step permutes it by the matching and
-    adds the hardware edges again. `min_steps` and `min_swaps_within`
-    branch on every hardware matching; `cheaper_swaps` branches on the
-    one-swap class of the same tables only, one swap per step, which the
-    serialization lemma (`cheaper_swap_floor`) shows loses no swap
-    optimum. An A* goal state's path of indices into the matchings
-    replays into the label frame for `witness`.
+    adds the hardware edges again. Every search starts at the hardware
+    edges alone. `min_steps` and `min_swaps_within` branch on every
+    hardware matching, except at that start, which branches on the
+    tables' `roots`, one matching per Aut(H)-orbit (the kernel's proof
+    shows the other images add nothing there); `cheaper_swaps` branches
+    on the one-swap class of the same tables only, and its roots at the
+    start, one swap per step, which the serialization lemma
+    (`cheaper_swap_floor`) shows loses no swap optimum. An A* goal state's
+    path of indices into the matchings replays into the label frame for
+    `witness`.
 
     The search owns the goal test, "the gate graph embeds into the mask",
     and the three searches share it. A mask with fewer pairs than gates
@@ -123,11 +167,11 @@ class RelativeFrameSearch:
     searches, and `witness` reads a goal state's image from it.
 
     The hardware's HardwareTables (its matchings, their delta-swap tables
-    grouped by swap count and the gain bounds) are built once per hardware
-    `Graph` and shared by every search on it; they live in a weak-key
-    table, so they go when the caller's graph does. Only a complete
-    enumeration of the matchings is kept: a budget below the matching
-    count stops the enumeration at budget + 1 and keeps nothing.
+    grouped by swap count, the orbit roots and the gain bounds) are built
+    once per hardware `Graph` and shared by every search on it; they live
+    in a weak-key table, so they go when the caller's graph does. Only a
+    complete enumeration of the matchings is kept: a budget below the
+    matching count stops the enumeration at budget + 1 and keeps nothing.
     The gate graph's `embedding_order` is built once per gate `Graph`, in
     a weak-key table of the same kind.
 
@@ -243,8 +287,9 @@ class RelativeFrameSearch:
             return Outcome(0, False, 0)
         steps, gain = self._tables.steps, self._tables.swap_gain
         out = _search_py.min_swaps_within(
-            steps._replace(classes=steps.classes[:1]), self._starts, self._gates,
-            self._reached, ms_at_mt - 1, gain, gain, budget=self.left,
+            steps._replace(classes=steps.classes[:1], roots=steps.roots[:1]),
+            self._starts, self._gates, self._reached, ms_at_mt - 1, gain, gain,
+            budget=self.left,
         )
         self._charge(out.work)
         return out

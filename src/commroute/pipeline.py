@@ -47,10 +47,15 @@ from .solutions import (
 # (`oracle.RelativeFrameSearch`). Counting work rather than time makes a
 # budgeted run repeat exactly. Spending all 100,000 units took 0.11-0.13 s
 # on path8 / K8, 0.19-0.25 s on grid3x3 / K9 and 0.34-0.42 s on grid4x4 /
-# K16 (2 cores, Python 3.11). The route bench instances need at most 837
-# units (the grid3x3 baseline). Path7 / K7 settles all three numbers by
-# search in 73,652 units, its `ms` proof branching on single swaps;
-# grid3x3 d0.5 s2 (`generate_instance`) in 72,924 and d0.7 s1 in 33,213.
+# K16 (2 cores, Python 3.11). The route bench instances need at most 326
+# units (the grid3x3 baseline). With one matching per Aut(H)-orbit at the
+# start, these settle all three numbers by search: path7 / K7 in 48,457
+# units, its `ms` proof branching on single swaps, and grid3x3 d0.5 s2
+# (`generate_instance`) in 16,733, d0.7 s1 in 7,862 and d0.5 s0 in 45,759
+# (44,843-49,363 over nine labellings). grid2x4 / K8 takes 95,720-100,079
+# over nine labellings, so one of them runs out in its cheaper search.
+# d0.7 s0 settles mt and ms_at_mt in 60,927 and its cheaper search runs
+# out (151,956 with no budget).
 SEARCH_BUDGET = 100_000
 
 HARDWARE_PRESETS = {

@@ -236,7 +236,7 @@ def build_schedule_model(ctx: ScheduleContext) -> MilpModel:
             elif terms:
                 model.add_constr(f"swap_slot_cap_t{t}_p{r}", terms, "<=", 1.0)
     for t, b in slots[k:]:
-        if b > 1 and t <= k:
+        if b > 1:
             model.add_constr(f"layers_ordered_t{t}_b{b - 1}",
                              [(_u(t, b), 1.0), (_u(t, b - 1), -1.0)], "<=", 0.0)
     model.set_objective([(_u(t, b), 1.0) for t, b in slots[k:]])

@@ -121,6 +121,14 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
 # ---------------------------------------------------------------------------
 # routing brute force
 
+def matching_images(g: Graph, perm) -> list[int]:
+    """The node permutation perm as a permutation of g's nonempty matchings,
+    by their index in `all_matchings`."""
+    matchings = all_matchings(g, include_empty=False)
+    at = {frozenset(m): mi for mi, m in enumerate(matchings)}
+    return [at[frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in m)] for m in matchings]
+
+
 def brute_swaps_within(inst, max_steps: int) -> list[int | None]:
     """Fewest swaps that realize every gate within t steps, for t = 0 .. max_steps.
 

@@ -235,8 +235,10 @@ def test_timeout_exit_code(capsys, tmp_path, monkeypatch):
 
 
 def test_timeout_after_a_search_certified_mt_exit_code(capsys, tmp_path, monkeypatch):
-    # the search proves mt, then the phase-2 solve times out: the output
-    # keeps mt and the run still exits 3
+    # the search proves mt within a budget its A* at mt runs out of, then
+    # the phase-2 solve times out: the output keeps mt and the run still
+    # exits 3
+    monkeypatch.setattr(pipeline, "SEARCH_BUDGET", 20_000)
     inst = pipeline.generate_instance("grid3x3", 0.7, 0)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst.to_dict()))

@@ -3,18 +3,20 @@ import pytest
 from commroute.graphs import (
     Graph,
     all_matchings,
+    automorphism_generators,
     automorphism_orbits,
     automorphisms,
     bridged_cycles_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
+    orbit_roots,
     path_graph,
     spider_graph,
     star_graph,
 )
 
-from conftest import all_trees, connected_graphs
+from conftest import all_trees, connected_graphs, matching_images
 
 
 def test_edge_normalization():
@@ -144,6 +146,29 @@ def test_automorphism_orbits():
     orbits = automorphism_orbits(path_graph(5))
     assert sorted(sorted(o) for o in orbits) == [[0, 4], [1, 3], [2]]
     assert automorphism_orbits(complete_graph(3)) == [[0, 1, 2]]
+
+
+SYMMETRIC = {
+    "path5": path_graph(5), "cycle6": cycle_graph(6), "star5": star_graph(5),
+    "grid2x3": grid_graph(2, 3), "grid3x3": grid_graph(3, 3),
+    "twin5cycles": bridged_cycles_graph(), "K5": complete_graph(5),
+}
+
+
+@pytest.mark.parametrize("g", SYMMETRIC.values(), ids=SYMMETRIC.keys())
+def test_automorphism_generators_generate_the_group(g):
+    gens = automorphism_generators(g)
+    group = automorphisms(g)
+    assert set(gens) <= set(group) and len(gens) <= g.n ** 2
+    # the orbits under the whole group, read off it directly: each item's
+    # lowest image
+    nodes = [min(perm[i] for perm in group) for i in range(g.n)]
+    assert orbit_roots(g.n, gens) == nodes
+    assert automorphism_orbits(g) == [[i for i in range(g.n) if nodes[i] == r]
+                                      for r in sorted(set(nodes))]
+    images = [matching_images(g, perm) for perm in group]
+    matchings = [min(image[mi] for image in images) for mi in range(len(images[0]))]
+    assert orbit_roots(len(matchings), [matching_images(g, perm) for perm in gens]) == matchings
 
 
 def test_round_trip_dict():

@@ -320,14 +320,16 @@ def test_timeout_yields_partial_result(monkeypatch, highs_only):
 
 
 def test_timeout_keeps_the_mt_the_search_certified(monkeypatch):
-    # the search proves mt = 3 here (work 44,985) and its A* at mt runs out;
-    # a timed-out phase-2 solve must not drop that certified mt
+    # under a budget of 20,000 the search proves mt = 3 here (work 8,216)
+    # and its A* at mt runs out (it settles in 52,581 units); a timed-out
+    # phase-2 solve must not drop that certified mt
+    monkeypatch.setattr(pipeline_module, "SEARCH_BUDGET", 20_000)
     monkeypatch.setattr(pipeline_module, "solve_min_swaps_at",
                         lambda *args, **kwargs: milp_models.SolveAttempt("timeout", None, None))
     res = solve_min_swaps(generate_instance("grid3x3", 0.7, 0), time_limit=1)
     assert res.mt == 3 and res.mt_optimal
     assert res.ms_at_mt is None and not res.ms_at_mt_optimal
-    assert res.notes == ["certified by search: mt = 3 (work 44985)",
+    assert res.notes == ["certified by search: mt = 3 (work 8216)",
                          "phase-1 solve at 3 steps ended with status timeout"]
 
 
